@@ -27,6 +27,7 @@ mod report;
 use args::{Args, DbCmd, Engine};
 use bio_seq::fasta::read_fasta_strict;
 use bio_seq::{Sequence, SequenceDb};
+use blast_cpu::report::SearchReport;
 use blast_cpu::search::{search_parallel, search_sequential, SearchEngine};
 use cublastp::{
     search_all_vs_all, search_batch_with, search_sharded_batch, AllVsAllOptions, BatchOptions,
@@ -39,6 +40,7 @@ use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Exit code for configuration problems (bad flags, invalid geometry).
 const EXIT_CONFIG: u8 = 2;
@@ -83,8 +85,6 @@ struct PhaseTable {
     overlapped_ms: f64,
     serial_ms: f64,
     queries: usize,
-    /// Active gapped backend name (set once from the flags).
-    gapped_backend: &'static str,
     /// Host wall-clock spent queued behind earlier work, microseconds
     /// (batch scheduler / serving layer; zero for standalone searches).
     queue_wait_us: u64,
@@ -93,13 +93,16 @@ struct PhaseTable {
 }
 
 impl PhaseTable {
+    fn add_kernel(&mut self, name: &str, ms: f64) {
+        match self.kernels.iter_mut().find(|(n, _)| n == name) {
+            Some((_, acc)) => *acc += ms,
+            None => self.kernels.push((name.to_string(), ms)),
+        }
+    }
+
     fn absorb(&mut self, r: &cublastp::CuBlastpResult, device: &DeviceConfig) {
         for k in &r.kernels {
-            let ms = k.time_ms(device);
-            match self.kernels.iter_mut().find(|(n, _)| *n == k.name) {
-                Some((_, acc)) => *acc += ms,
-                None => self.kernels.push((k.name.clone(), ms)),
-            }
+            self.add_kernel(&k.name, k.time_ms(device));
         }
         self.h2d_ms += r.timing.h2d_ms;
         self.d2h_ms += r.timing.d2h_ms;
@@ -148,9 +151,6 @@ impl PhaseTable {
                 ""
             }
         );
-        if !self.gapped_backend.is_empty() {
-            out!("# gapped backend: {}", self.gapped_backend);
-        }
         // Host wait time, kept out of the phase totals above so retries
         // and queueing are no longer indistinguishable from compute.
         out!(
@@ -340,52 +340,32 @@ fn main() -> ExitCode {
     let flattens_before = cublastp::flatten_count();
     let injector = Arc::new(FaultInjector::new(args.fault_plan.clone()));
     obs::arm(args.trace_out.is_some(), args.metrics_out.is_some());
-    let mut phase_table = args.phase_table.then(PhaseTable::default);
-    if let Some(table) = &mut phase_table {
-        table.gapped_backend = args.gapped_backend.name();
-    }
-    let mut gapped_summary = (args.engine == Engine::CuBlastp).then(GappedSummary::default);
+    let mut sink = ResultSink {
+        args: &args,
+        db: &db,
+        phase_table: args.phase_table.then(PhaseTable::default),
+        gapped_summary: (args.engine == Engine::CuBlastp).then(GappedSummary::default),
+        failures: Vec::new(),
+    };
     let t_batch = std::time::Instant::now();
-    let mut failures: Vec<(usize, String, SearchError)> = Vec::new();
     if args.shards > 1 || sharded_set.is_some() {
         let sharded = sharded_set.take().unwrap_or_else(|| {
             ShardedDb::split(&db, args.shards, args.cublastp_config().db_block_size)
         });
-        failures = run_sharded_batch(
-            &queries,
-            &db,
-            &sharded,
-            &args,
-            &injector,
-            &mut phase_table,
-            &mut gapped_summary,
-        );
+        run_sharded_batch(&queries, &sharded, &injector, &mut sink);
     } else if args.engine == Engine::CuBlastp && args.seed_mode == SeedMode::Grouped {
-        failures = run_grouped_batch(
-            &queries,
-            &db,
-            &args,
-            &injector,
-            &mut phase_table,
-            &mut gapped_summary,
-        );
+        run_grouped_batch(&queries, &dev_cache, &injector, &mut sink);
     } else {
         for (i, query) in queries.iter().enumerate() {
-            if let Err(e) = run_query(
-                query,
-                i,
-                &db,
-                &args,
-                &dev_cache,
-                &injector,
-                &mut phase_table,
-                &mut gapped_summary,
-            ) {
-                eprintln!("error: query {} ({}): {e}", i + 1, query.id);
-                failures.push((i, query.id.clone(), e));
-            }
+            run_query(query, i, &dev_cache, &injector, &mut sink);
         }
     }
+    let ResultSink {
+        phase_table,
+        gapped_summary,
+        failures,
+        ..
+    } = sink;
     let batch_wall = t_batch.elapsed();
     if let Some(img) = &image {
         // Stderr so `--outfmt tab` stdout stays machine-readable; the CI
@@ -454,7 +434,6 @@ fn run_serve(
     args: &Args,
 ) -> ExitCode {
     use cublastp_serve::{Event, Request, ServeConfig, Server};
-    use std::time::Duration;
 
     obs::arm(args.trace_out.is_some(), args.metrics_out.is_some());
     let serve_cfg = ServeConfig {
@@ -880,26 +859,113 @@ fn load_db_fasta(args: &Args) -> Result<SequenceDb, String> {
     Ok(SequenceDb::new(dpath.clone(), subjects))
 }
 
+/// Which cuBLASTP path produced a result: the note its telemetry row
+/// carries after the simulated GPU time.
+enum SearchPath {
+    Flat,
+    Grouped,
+    Sharded(usize),
+}
+
+/// Where per-query results go: the report printer, the `--phase-table`
+/// and `# gapped backend:` accumulators, and the failure rows printed at
+/// the end of the run.
+struct ResultSink<'a> {
+    args: &'a Args,
+    db: &'a SequenceDb,
+    phase_table: Option<PhaseTable>,
+    gapped_summary: Option<GappedSummary>,
+    failures: Vec<(usize, String, SearchError)>,
+}
+
+impl ResultSink<'_> {
+    /// Print query `index`'s outcome: its report under a telemetry row, or
+    /// an error line (and a failure row at the end of the run).
+    fn emit(
+        &mut self,
+        index: usize,
+        query: &Sequence,
+        outcome: Result<(SearchReport, String), SearchError>,
+        wall: Duration,
+    ) {
+        match outcome {
+            Ok((report, telemetry)) => {
+                report::print(query, self.db, &report, self.args, wall, &telemetry)
+            }
+            Err(e) => {
+                eprintln!("error: query {} ({}): {e}", index + 1, query.id);
+                self.failures.push((index, query.id.clone(), e));
+            }
+        }
+    }
+
+    /// [`emit`](Self::emit) for a cuBLASTP result, which first joins the
+    /// phase table and the gapped-backend summary.
+    fn emit_cublastp(
+        &mut self,
+        index: usize,
+        query: &Sequence,
+        result: Result<cublastp::CuBlastpResult, SearchError>,
+        wall: Duration,
+        path: SearchPath,
+    ) {
+        let outcome = result.map(|r| {
+            let device = DeviceConfig::k20c();
+            if let Some(table) = &mut self.phase_table {
+                table.absorb(&r, &device);
+            }
+            if let Some(summary) = &mut self.gapped_summary {
+                summary.absorb(&r, &device);
+            }
+            let note = match path {
+                SearchPath::Flat => format!(", overlapped total {:.2} ms", r.timing.total_ms()),
+                SearchPath::Grouped => " (grouped seeding)".to_string(),
+                SearchPath::Sharded(shards) => format!(" ({shards} shards)"),
+            };
+            let mut telemetry = format!(
+                "hits {} → filtered {} ({:.1}%) → extensions {}; simulated GPU {:.2} ms{note}",
+                r.counts.hits,
+                r.counts.filtered,
+                100.0 * r.counts.survival_ratio(),
+                r.counts.extensions,
+                r.timing.gpu_ms,
+            );
+            let rec = &r.recovery;
+            if !rec.is_clean() {
+                telemetry.push_str(&format!(
+                    "; recovered from {} fault{} ({} retr{}, {} block{} degraded to CPU)",
+                    rec.faults,
+                    if rec.faults == 1 { "" } else { "s" },
+                    rec.retries,
+                    if rec.retries == 1 { "y" } else { "ies" },
+                    rec.degraded_blocks,
+                    if rec.degraded_blocks == 1 { "" } else { "s" },
+                ));
+            }
+            (r.report, telemetry)
+        });
+        self.emit(index, query, outcome, wall);
+    }
+}
+
 /// The `--seed-mode grouped` path: the whole query stream runs as one
 /// grouped batch (round-packed shared word index, one seeding pass per
 /// round per database block), then per-query reports print in input
 /// order — bit-identical to what `run_query` prints per query.
 fn run_grouped_batch(
     queries: &[Sequence],
-    db: &SequenceDb,
-    args: &Args,
+    dev_cache: &DeviceDbCache,
     injector: &Arc<FaultInjector>,
-    phase_table: &mut Option<PhaseTable>,
-    gapped_summary: &mut Option<GappedSummary>,
-) -> Vec<(usize, String, SearchError)> {
-    let params = args.params();
-    let config = args.cublastp_config();
+    sink: &mut ResultSink<'_>,
+) {
+    let (args, db) = (sink.args, sink.db);
+    let device = DeviceConfig::k20c();
     let t0 = std::time::Instant::now();
     let out = search_batch_with(
         queries,
-        params,
-        config,
-        DeviceConfig::k20c(),
+        args.params(),
+        args.cublastp_config(),
+        device,
         db,
         BatchOptions {
             injector: Some(Arc::clone(injector)),
@@ -911,72 +977,53 @@ fn run_grouped_batch(
     // Individual wall-clocks are not observable in a batched run; report
     // each query's share of the batch.
     let wall = t0.elapsed().div_f64(queries.len().max(1) as f64);
-    let mut failures = Vec::new();
     for (i, (query, result)) in queries.iter().zip(out.per_query).enumerate() {
-        match result {
-            Ok(r) => {
-                if let Some(table) = phase_table {
-                    table.absorb(&r, &DeviceConfig::k20c());
-                }
-                if let Some(summary) = gapped_summary {
-                    summary.absorb(&r, &DeviceConfig::k20c());
-                }
-                let mut telemetry = format!(
-                    "hits {} → filtered {} ({:.1}%) → extensions {}; simulated GPU {:.2} ms (grouped seeding)",
-                    r.counts.hits,
-                    r.counts.filtered,
-                    100.0 * r.counts.survival_ratio(),
-                    r.counts.extensions,
-                    r.timing.gpu_ms,
-                );
-                if !r.recovery.is_clean() {
-                    telemetry.push_str(&format!(
-                        "; recovered from {} fault{} ({} block{} degraded to CPU)",
-                        r.recovery.faults,
-                        if r.recovery.faults == 1 { "" } else { "s" },
-                        r.recovery.degraded_blocks,
-                        if r.recovery.degraded_blocks == 1 {
-                            ""
-                        } else {
-                            "s"
-                        },
-                    ));
-                }
-                report::print(query, db, &r.report, args, wall, &telemetry);
-            }
-            Err(e) => {
-                eprintln!("error: query {} ({}): {e}", i + 1, query.id);
-                failures.push((i, query.id.clone(), e));
-            }
-        }
+        sink.emit_cublastp(i, query, result, wall, SearchPath::Grouped);
     }
-    match &out.grouped {
-        Some(g) => {
-            let mean_occ = if g.rounds.is_empty() {
-                0.0
-            } else {
-                g.rounds.iter().map(|r| r.occupancy).sum::<f64>() / g.rounds.len() as f64
-            };
-            let row = format!(
-                "# grouped seeding: rounds={} queries={} budget={} mean-occupancy={:.3} \
-                 amortized-seeding={:.4} ms/block/query",
-                g.rounds.len(),
-                g.queries_covered(),
-                args.group_budget,
-                mean_occ,
-                g.seeding_ms_per_block_query(),
-            );
-            if args.outfmt == args::OutFmt::Tab {
-                eprintln!("{row}");
-            } else {
-                out!("{row}");
-            }
-        }
+    let Some(g) = &out.grouped else {
         // Unreachable by construction; keep it loud so the CI equivalence
         // job catches any future silent fallback.
-        None => eprintln!("# warning: grouped seed mode fell back to per-query seeding"),
+        eprintln!("# warning: grouped seed mode fell back to per-query seeding");
+        return;
+    };
+    if let Some(table) = &mut sink.phase_table {
+        // Members carry zeroed hit_detection stats: the library bills each
+        // seeding pass once, to its round. Bill the rounds here, with the
+        // database and index uploads, so the rows add up to the batch's
+        // modelled device time.
+        table.add_kernel("hit_detection", g.total_seeding_ms());
+        let dev_db = dev_cache.get(db, args.cublastp_config().db_block_size);
+        let db_upload_ms: f64 = dev_db
+            .blocks()
+            .iter()
+            .map(|(_, b)| device.transfer_ms(b.upload_bytes()))
+            .sum();
+        let index_upload_ms: f64 = g
+            .rounds
+            .iter()
+            .map(|r| device.transfer_ms(r.index_upload_bytes))
+            .sum();
+        table.h2d_ms += db_upload_ms + index_upload_ms;
     }
-    failures
+    let mean_occ = if g.rounds.is_empty() {
+        0.0
+    } else {
+        g.rounds.iter().map(|r| r.occupancy).sum::<f64>() / g.rounds.len() as f64
+    };
+    let row = format!(
+        "# grouped seeding: rounds={} queries={} budget={} mean-occupancy={:.3} \
+         amortized-seeding={:.4} ms/block/query",
+        g.rounds.len(),
+        g.queries_covered(),
+        args.group_budget,
+        mean_occ,
+        g.seeding_ms_per_block_query(),
+    );
+    if args.outfmt == args::OutFmt::Tab {
+        eprintln!("{row}");
+    } else {
+        out!("{row}");
+    }
 }
 
 /// The sharded path (`--shards` > 1 or `--db-set`): the whole query
@@ -985,16 +1032,13 @@ fn run_grouped_batch(
 /// path, and the work-stealing fleet schedule spans `--devices`
 /// simulated devices. The `# shards:` summary row is the grep target of
 /// the CI sharded-equivalence job.
-#[allow(clippy::too_many_arguments)]
 fn run_sharded_batch(
     queries: &[Sequence],
-    db: &SequenceDb,
     sharded: &ShardedDb,
-    args: &Args,
     injector: &Arc<FaultInjector>,
-    phase_table: &mut Option<PhaseTable>,
-    gapped_summary: &mut Option<GappedSummary>,
-) -> Vec<(usize, String, SearchError)> {
+    sink: &mut ResultSink<'_>,
+) {
+    let args = sink.args;
     let t0 = std::time::Instant::now();
     let mut out = search_sharded_batch(
         queries,
@@ -1013,50 +1057,10 @@ fn run_sharded_batch(
     // Individual wall-clocks are not observable in a batched run; report
     // each query's share of the batch.
     let wall = t0.elapsed().div_f64(queries.len().max(1) as f64);
-    let mut failures = Vec::new();
-    for (i, (query, result)) in queries
-        .iter()
-        .zip(std::mem::take(&mut out.per_query))
-        .enumerate()
-    {
-        match result {
-            Ok(r) => {
-                if let Some(table) = phase_table {
-                    table.absorb(&r, &DeviceConfig::k20c());
-                }
-                if let Some(summary) = gapped_summary {
-                    summary.absorb(&r, &DeviceConfig::k20c());
-                }
-                let mut telemetry = format!(
-                    "hits {} → filtered {} ({:.1}%) → extensions {}; simulated GPU {:.2} ms \
-                     ({} shards)",
-                    r.counts.hits,
-                    r.counts.filtered,
-                    100.0 * r.counts.survival_ratio(),
-                    r.counts.extensions,
-                    r.timing.gpu_ms,
-                    sharded.num_shards(),
-                );
-                if !r.recovery.is_clean() {
-                    telemetry.push_str(&format!(
-                        "; recovered from {} fault{} ({} block{} degraded to CPU)",
-                        r.recovery.faults,
-                        if r.recovery.faults == 1 { "" } else { "s" },
-                        r.recovery.degraded_blocks,
-                        if r.recovery.degraded_blocks == 1 {
-                            ""
-                        } else {
-                            "s"
-                        },
-                    ));
-                }
-                report::print(query, db, &r.report, args, wall, &telemetry);
-            }
-            Err(e) => {
-                eprintln!("error: query {} ({}): {e}", i + 1, query.id);
-                failures.push((i, query.id.clone(), e));
-            }
-        }
+    let per_query = std::mem::take(&mut out.per_query);
+    for (i, (query, result)) in queries.iter().zip(per_query).enumerate() {
+        let path = SearchPath::Sharded(sharded.num_shards());
+        sink.emit_cublastp(i, query, result, wall, path);
     }
     let row = format!(
         "# shards: {} devices={} makespan={:.3}ms single-device={:.3}ms speedup={:.2}x \
@@ -1078,7 +1082,6 @@ fn run_sharded_batch(
     if args.phase_table && args.outfmt != args::OutFmt::Tab {
         print_fleet_table(sharded, &out);
     }
-    failures
 }
 
 /// The per-shard / per-device rows of `--phase-table` under the sharded
@@ -1201,17 +1204,14 @@ fn run_allvsall(
     ExitCode::SUCCESS
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_query(
     query: &Sequence,
     index: usize,
-    db: &SequenceDb,
-    args: &Args,
     dev_cache: &DeviceDbCache,
     injector: &Arc<FaultInjector>,
-    phase_table: &mut Option<PhaseTable>,
-    gapped_summary: &mut Option<GappedSummary>,
-) -> Result<(), SearchError> {
+    sink: &mut ResultSink<'_>,
+) {
+    let (args, db) = (sink.args, sink.db);
     let params = args.params();
     let t0 = std::time::Instant::now();
     let (report, telemetry) = match args.engine {
@@ -1222,38 +1222,9 @@ fn run_query(
             searcher.injector = Arc::clone(injector);
             searcher.stream_index = index as u32;
             let dev_db = dev_cache.get(db, config.db_block_size);
-            let r = searcher.search_resident(db, &dev_db, index == 0)?;
-            if let Some(table) = phase_table {
-                table.absorb(&r, &DeviceConfig::k20c());
-            }
-            if let Some(summary) = gapped_summary {
-                summary.absorb(&r, &DeviceConfig::k20c());
-            }
-            let mut telemetry = format!(
-                "hits {} → filtered {} ({:.1}%) → extensions {}; simulated GPU {:.2} ms, overlapped total {:.2} ms",
-                r.counts.hits,
-                r.counts.filtered,
-                100.0 * r.counts.survival_ratio(),
-                r.counts.extensions,
-                r.timing.gpu_ms,
-                r.timing.total_ms(),
-            );
-            if !r.recovery.is_clean() {
-                telemetry.push_str(&format!(
-                    "; recovered from {} fault{} ({} retr{}, {} block{} degraded to CPU)",
-                    r.recovery.faults,
-                    if r.recovery.faults == 1 { "" } else { "s" },
-                    r.recovery.retries,
-                    if r.recovery.retries == 1 { "y" } else { "ies" },
-                    r.recovery.degraded_blocks,
-                    if r.recovery.degraded_blocks == 1 {
-                        ""
-                    } else {
-                        "s"
-                    },
-                ));
-            }
-            (r.report, telemetry)
+            let result = searcher.search_resident(db, &dev_db, index == 0);
+            sink.emit_cublastp(index, query, result, t0.elapsed(), SearchPath::Flat);
+            return;
         }
         Engine::Cpu => {
             let engine = SearchEngine::new(query.clone(), params, db);
@@ -1282,7 +1253,5 @@ fn run_query(
             (r.report, telemetry)
         }
     };
-    let wall = t0.elapsed();
-    report::print(query, db, &report, args, wall, &telemetry);
-    Ok(())
+    sink.emit(index, query, Ok((report, telemetry)), t0.elapsed());
 }

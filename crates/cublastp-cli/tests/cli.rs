@@ -603,3 +603,74 @@ fn phase_table_reports_recovery_waits_separately() {
         .unwrap();
     assert!(retry_ms > 0.0, "{row}");
 }
+
+/// `(row name, ms)` for every `# <name> <ms> <pct>%` row of the
+/// `--phase-table` block.
+fn phase_rows(text: &str) -> Vec<(String, f64)> {
+    text.lines()
+        .skip_while(|l| !l.starts_with("# per-phase timing"))
+        .skip(2)
+        .take_while(|l| l.ends_with('%'))
+        .filter_map(|l| {
+            let cols: Vec<&str> = l.trim_start_matches("# ").split_whitespace().collect();
+            let ms = cols.get(cols.len().checked_sub(2)?)?.parse().ok()?;
+            Some((cols[..cols.len() - 2].join(" "), ms))
+        })
+        .collect()
+}
+
+#[test]
+fn grouped_phase_table_bills_seeding_and_uploads() {
+    let run_table = |extra: &[&str]| {
+        let mut args = vec!["--demo", "--phase-table"];
+        args.extend_from_slice(extra);
+        let out = run(&args);
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        let rows = phase_rows(&text);
+        assert!(!rows.is_empty(), "{text}");
+        rows
+    };
+    let row = |rows: &[(String, f64)], name: &str| {
+        rows.iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, ms)| *ms)
+            .unwrap_or_else(|| panic!("no {name} row in {rows:?}"))
+    };
+    let per_query = run_table(&[]);
+    let grouped = run_table(&["--seed-mode", "grouped"]);
+    // The round's seeding pass is the grouped batch's hit detection, and
+    // the database upload plus the index upload are its H2D leg.
+    assert!(row(&grouped, "hit_detection") > 0.0, "{grouped:?}");
+    assert!(
+        row(&grouped, "h2d_transfer") > row(&per_query, "h2d_transfer"),
+        "database + index upload: {grouped:?} vs {per_query:?}"
+    );
+    // Every row belongs to the total, in both modes.
+    for rows in [&per_query, &grouped] {
+        let total = row(rows, "total (serial)");
+        let sum: f64 = rows
+            .iter()
+            .filter(|(n, _)| n != "total (serial)")
+            .map(|(_, ms)| ms)
+            .sum();
+        assert!((sum - total).abs() < 0.01, "{rows:?}");
+    }
+}
+
+#[test]
+fn gapped_backend_row_is_printed_once() {
+    let out = run(&["--demo", "--phase-table"]);
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    let rows: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("# gapped backend:"))
+        .collect();
+    assert_eq!(rows.len(), 1, "{text}");
+    assert!(rows[0].contains("fine-kernel-ms="), "{}", rows[0]);
+}

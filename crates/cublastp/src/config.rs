@@ -20,6 +20,17 @@ pub enum ExtensionStrategy {
     Window,
 }
 
+impl ExtensionStrategy {
+    /// Name of the strategy's extension kernel (stats, spans, traces).
+    pub(crate) fn kernel_name(self) -> &'static str {
+        match self {
+            ExtensionStrategy::Diagonal => "ungapped_extension_diagonal",
+            ExtensionStrategy::Hit => "ungapped_extension_hit",
+            ExtensionStrategy::Window => "ungapped_extension_window",
+        }
+    }
+}
+
 /// Scoring-table placement for the extension kernels (§3.5, Fig. 15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ScoringMode {
@@ -32,6 +43,16 @@ pub enum ScoringMode {
     /// long ones (§4.1 picks PSSM for query127, BLOSUM62 for query517 and
     /// query1054).
     Auto,
+}
+
+/// A [`ScoringMode`] with `Auto` decided for a concrete query length —
+/// the placement the extension kernels actually cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResolvedScoring {
+    /// Query-specific PSS matrix (shared or global memory by length).
+    Pssm,
+    /// Fixed BLOSUM62 matrix in shared memory.
+    Blosum62,
 }
 
 /// Where the gapped extension + traceback phase runs (DESIGN.md §3.7).
@@ -173,38 +194,33 @@ impl Default for CuBlastpConfig {
 
 impl CuBlastpConfig {
     /// Resolve [`ScoringMode::Auto`] for a concrete query length.
-    pub fn resolved_scoring(&self, query_len: usize) -> ScoringMode {
+    pub fn resolved_scoring(&self, query_len: usize) -> ResolvedScoring {
         match self.scoring {
-            ScoringMode::Auto => {
-                if query_len <= AUTO_SCORING_CROSSOVER {
-                    ScoringMode::Pssm
-                } else {
-                    ScoringMode::Blosum62
-                }
-            }
-            other => other,
+            ScoringMode::Pssm => ResolvedScoring::Pssm,
+            ScoringMode::Blosum62 => ResolvedScoring::Blosum62,
+            ScoringMode::Auto if query_len <= AUTO_SCORING_CROSSOVER => ResolvedScoring::Pssm,
+            ScoringMode::Auto => ResolvedScoring::Blosum62,
         }
     }
 
     /// Shared-memory bytes per block consumed by the scoring table.
     pub fn scoring_shared_bytes(&self, query_len: usize) -> u32 {
         match self.resolved_scoring(query_len) {
-            ScoringMode::Pssm => {
+            ResolvedScoring::Pssm => {
                 if query_len <= PSSM_SHARED_LIMIT {
                     (query_len * 64) as u32
                 } else {
                     0 // spilled to global memory
                 }
             }
-            ScoringMode::Blosum62 => 2 * 1024,
-            ScoringMode::Auto => unreachable!("resolved above"),
+            ResolvedScoring::Blosum62 => 2 * 1024,
         }
     }
 
     /// True when the PSSM path reads from global memory (query too long
     /// for shared memory).
     pub fn pssm_in_global(&self, query_len: usize) -> bool {
-        matches!(self.resolved_scoring(query_len), ScoringMode::Pssm)
+        matches!(self.resolved_scoring(query_len), ResolvedScoring::Pssm)
             && query_len > PSSM_SHARED_LIMIT
     }
 
@@ -276,9 +292,9 @@ mod tests {
     #[test]
     fn auto_scoring_matches_paper_choices() {
         let c = CuBlastpConfig::default();
-        assert_eq!(c.resolved_scoring(127), ScoringMode::Pssm);
-        assert_eq!(c.resolved_scoring(517), ScoringMode::Blosum62);
-        assert_eq!(c.resolved_scoring(1054), ScoringMode::Blosum62);
+        assert_eq!(c.resolved_scoring(127), ResolvedScoring::Pssm);
+        assert_eq!(c.resolved_scoring(517), ResolvedScoring::Blosum62);
+        assert_eq!(c.resolved_scoring(1054), ResolvedScoring::Blosum62);
     }
 
     #[test]
@@ -298,11 +314,11 @@ mod tests {
         let c = CuBlastpConfig::default();
         assert_eq!(
             c.resolved_scoring(AUTO_SCORING_CROSSOVER),
-            ScoringMode::Pssm
+            ResolvedScoring::Pssm
         );
         assert_eq!(
             c.resolved_scoring(AUTO_SCORING_CROSSOVER + 1),
-            ScoringMode::Blosum62
+            ResolvedScoring::Blosum62
         );
     }
 

@@ -18,7 +18,7 @@
 //!   with a CUB-style prefix scan computing running scores, ChangeSinceBest
 //!   and DropFlag (Fig. 8).
 
-use crate::config::{CuBlastpConfig, ExtensionStrategy, ScoringMode};
+use crate::config::{CuBlastpConfig, ExtensionStrategy, ResolvedScoring};
 use crate::devicedata::{DeviceDbBlock, DeviceQuery};
 use crate::hitpack::{group_key, query_pos, seq_id, subject_pos};
 use crate::reorder::FilteredHits;
@@ -68,7 +68,7 @@ struct ScoringCost {
 
 fn scoring_cost(cfg: &CuBlastpConfig, query_len: usize, device: &DeviceConfig) -> ScoringCost {
     match cfg.resolved_scoring(query_len) {
-        ScoringMode::Pssm => {
+        ResolvedScoring::Pssm => {
             if cfg.pssm_in_global(query_len) {
                 ScoringCost {
                     cycles_per_pos: device.global_transaction_cost / 2,
@@ -92,13 +92,12 @@ fn scoring_cost(cfg: &CuBlastpConfig, query_len: usize, device: &DeviceConfig) -
         // latency cannot overlap, plus bank conflicts from effectively
         // random (query, subject) residue pairs. This is the extra memory
         // work §3.5 trades against the PSSM's footprint.
-        ScoringMode::Blosum62 => ScoringCost {
+        ResolvedScoring::Blosum62 => ScoringCost {
             cycles_per_pos: 5 * device.shared_access_cost + device.atomic_conflict_cost,
             shared_per_pos: 2,
             tx_per_pos_x2: 0,
             bytes_per_pos: 0,
         },
-        ScoringMode::Auto => unreachable!("resolved"),
     }
 }
 
@@ -237,11 +236,7 @@ pub fn extension_kernel(
         use_readonly_cache: cfg.use_readonly_cache,
     };
 
-    let name = match cfg.extension {
-        ExtensionStrategy::Diagonal => "ungapped_extension_diagonal",
-        ExtensionStrategy::Hit => "ungapped_extension_hit",
-        ExtensionStrategy::Window => "ungapped_extension_window",
-    };
+    let name = cfg.extension.kernel_name();
 
     let blocks = cfg.grid_blocks.max(1);
 

@@ -3,7 +3,7 @@
 //! → ungapped extension) run back to back, as in §3.2–3.4.
 
 use crate::binning::binning_kernel;
-use crate::config::{CuBlastpConfig, ExtensionStrategy};
+use crate::config::CuBlastpConfig;
 use crate::devicedata::{DeviceDbBlock, DeviceQuery};
 use crate::extension::{extension_kernel, ExtensionResult};
 use crate::reorder::{assemble_kernel, sort_kernel};
@@ -35,6 +35,24 @@ impl GpuPhaseCounts {
             self.filtered as f64 / self.hits as f64
         }
     }
+
+    /// Add another block's (or shard's) counters to these.
+    pub(crate) fn add(&mut self, other: &GpuPhaseCounts) {
+        self.hits += other.hits;
+        self.filtered += other.filtered;
+        self.extensions += other.extensions;
+        self.redundant += other.redundant;
+    }
+}
+
+/// Fold per-kernel stats into a running positional merge. Entries past the
+/// end of `acc` (the first block, or a 6th gapped-kernel entry) are kept.
+pub(crate) fn merge_kernels(acc: &mut Vec<KernelStats>, more: Vec<KernelStats>) {
+    for (k, o) in acc.iter_mut().zip(&more) {
+        k.merge(o);
+    }
+    let merged = acc.len();
+    acc.extend(more.into_iter().skip(merged));
 }
 
 /// Extension records grouped by block-local subject id in CSR form:
@@ -126,23 +144,6 @@ impl GpuPhaseOutput {
     }
 }
 
-/// Map a kernel's stats name onto its static span label (modelled trace
-/// events need `&'static str`; the extension kernel name varies by
-/// strategy).
-fn kernel_label(name: &str) -> &'static str {
-    match name {
-        "hit_detection" => "hit_detection",
-        "hit_assembling" => "hit_assembling",
-        "hit_sorting" => "hit_sorting",
-        "hit_filtering" => "hit_filtering",
-        "ungapped_extension_diagonal" => "ungapped_extension_diagonal",
-        "ungapped_extension_hit" => "ungapped_extension_hit",
-        "ungapped_extension_window" => "ungapped_extension_window",
-        "gapped_extension_fine" => "gapped_extension_fine",
-        _ => "kernel",
-    }
-}
-
 /// Run the five fine-grained kernels over one uploaded database block.
 /// Hit-path scratch (arena pages, sort ping-pong, compaction buffers)
 /// comes from `ws` and is returned to it before the call ends, so a warm
@@ -165,48 +166,17 @@ pub fn run_gpu_phase(
     injector: &FaultInjector,
     ctx: FaultCtx,
 ) -> Result<GpuPhaseOutput, DeviceError> {
-    let _phase_span = obs::span("gpu_phase", "gpu")
-        .with_block(ctx.block)
-        .with_query(ctx.query);
-
-    check_phase_preamble(injector, ctx)?;
-
-    // Kernel 1: warp-based hit detection with binning (Algorithm 2).
-    injector.check(FaultSite::KernelLaunch, ctx, "hit_detection")?;
-    let mut k_span = obs::span("hit_detection", "kernel").with_block(ctx.block);
-    let (binned, k_bin) = binning_kernel(device, cfg, query, db, ws);
-    k_span.set_arg("sim_ms", k_bin.time_ms(device));
-    drop(k_span);
-
-    run_gpu_tail(
-        device, cfg, query, db, params, ws, injector, ctx, binned, k_bin,
-    )
+    run_gpu_phase_seeded(device, cfg, query, db, params, ws, injector, ctx, None)
 }
 
-/// The device-footprint fault checks every GPU phase starts with: scratch
-/// arena, workspace checkout, and the H2D leg that made the block resident
-/// (Fig. 12 upload). Shared between the per-query phase and the grouped
-/// seeding driver, which runs them once per member before the tail.
-pub(crate) fn check_phase_preamble(
-    injector: &FaultInjector,
-    ctx: FaultCtx,
-) -> Result<(), DeviceError> {
-    injector.check(FaultSite::DeviceAlloc, ctx, "block scratch arena")?;
-    injector.check(FaultSite::Workspace, ctx, "hit-arena pools")?;
-    injector.check(FaultSite::H2d, ctx, "db block upload")?;
-    injector.check(FaultSite::H2dTimeout, ctx, "db block upload")?;
-    injector.check(FaultSite::HostPanic, ctx, "gpu phase")?;
-    Ok(())
-}
-
-/// Kernels 2–5 over an already-binned hit arena: assembling → sorting →
-/// filtering → ungapped extension, plus the D2H leg and the phase's
-/// metrics. The per-query path feeds this the `binning_kernel` arena; the
-/// grouped path feeds it one member's demuxed slice of a grouped seeding
-/// pass — either way `binned` holds that query's hits in the standard
-/// arena shape, so downstream semantics are identical by construction.
+/// [`run_gpu_phase`] with kernel 1's arena optionally supplied by the
+/// caller: `Some(binned)` is this query's demuxed slice of a grouped
+/// seeding pass (DESIGN.md §3.6), which replaces the hit-detection launch
+/// and is billed zeroed `hit_detection` stats, because the round pays
+/// for the pass once; `None` runs `binning_kernel` as usual. Either way
+/// the arena has the standard shape, so kernels 2–5 see the same hits.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_gpu_tail(
+pub(crate) fn run_gpu_phase_seeded(
     device: &DeviceConfig,
     cfg: &CuBlastpConfig,
     query: &DeviceQuery,
@@ -215,9 +185,34 @@ pub(crate) fn run_gpu_tail(
     ws: &KernelWorkspace,
     injector: &FaultInjector,
     ctx: FaultCtx,
-    binned: crate::binning::BinnedHits,
-    k_bin: KernelStats,
+    seeded: Option<crate::binning::BinnedHits>,
 ) -> Result<GpuPhaseOutput, DeviceError> {
+    let _phase_span = obs::span("gpu_phase", "gpu")
+        .with_block(ctx.block)
+        .with_query(ctx.query);
+
+    // The device-footprint checks every phase starts with: scratch arena,
+    // workspace checkout, and the H2D leg that made the block resident
+    // (Fig. 12 upload).
+    injector.check(FaultSite::DeviceAlloc, ctx, "block scratch arena")?;
+    injector.check(FaultSite::Workspace, ctx, "hit-arena pools")?;
+    injector.check(FaultSite::H2d, ctx, "db block upload")?;
+    injector.check(FaultSite::H2dTimeout, ctx, "db block upload")?;
+    injector.check(FaultSite::HostPanic, ctx, "gpu phase")?;
+
+    let (binned, k_bin) = match seeded {
+        Some(binned) => (binned, KernelStats::new("hit_detection")),
+        None => {
+            // Kernel 1: warp-based hit detection with binning (Algorithm 2).
+            injector.check(FaultSite::KernelLaunch, ctx, "hit_detection")?;
+            let mut k_span = obs::span("hit_detection", "kernel").with_block(ctx.block);
+            let (binned, k_bin) = binning_kernel(device, cfg, query, db, ws);
+            k_span.set_arg("sim_ms", k_bin.time_ms(device));
+            drop(k_span);
+            (binned, k_bin)
+        }
+    };
+
     let hits = binned.total_hits;
 
     // Kernel 2: assemble bins into a contiguous array (Fig. 6a) — the
@@ -254,12 +249,7 @@ pub(crate) fn run_gpu_tail(
 
     // Kernel 5: fine-grained ungapped extension (Algorithms 3–5).
     injector.check(FaultSite::KernelLaunch, ctx, "ungapped_extension")?;
-    let ext_span_name = match cfg.extension {
-        ExtensionStrategy::Diagonal => "ungapped_extension_diagonal",
-        ExtensionStrategy::Hit => "ungapped_extension_hit",
-        ExtensionStrategy::Window => "ungapped_extension_window",
-    };
-    let mut k_span = obs::span(ext_span_name, "kernel").with_block(ctx.block);
+    let mut k_span = obs::span(cfg.extension.kernel_name(), "kernel").with_block(ctx.block);
     let ExtensionResult {
         extensions,
         stats: k_ext,
@@ -279,15 +269,16 @@ pub(crate) fn run_gpu_tail(
     injector.check(FaultSite::D2hTimeout, ctx, "extension download")?;
 
     if obs::state() != 0 {
-        for k in [&k_bin, &k_asm, &k_sort, &k_filter, &k_ext] {
+        // Modelled trace events need static labels: the kernels' names.
+        for (label, k) in [
+            ("hit_detection", &k_bin),
+            ("hit_assembling", &k_asm),
+            ("hit_sorting", &k_sort),
+            ("hit_filtering", &k_filter),
+            (cfg.extension.kernel_name(), &k_ext),
+        ] {
             let sim_ms = k.time_ms(device);
-            obs::modelled(
-                "gpu (modelled)",
-                kernel_label(&k.name),
-                sim_ms,
-                Some(ctx.block),
-                None,
-            );
+            obs::modelled("gpu (modelled)", label, sim_ms, Some(ctx.block), None);
             obs::observe("kernel_sim_ms", &[("kernel", &k.name)], sim_ms);
         }
         obs::counter("hits_detected_total", &[], hits);

@@ -47,7 +47,6 @@
 
 pub mod binning;
 pub mod cancel;
-pub mod cluster;
 pub mod config;
 pub mod devicedata;
 pub mod error;
@@ -65,7 +64,6 @@ pub mod search;
 pub mod shard;
 
 pub use cancel::CancelToken;
-pub use cluster::{search_cluster, ClusterConfig, ClusterResult};
 pub use config::{
     CuBlastpConfig, ExtensionStrategy, GappedBackend, PipelineConfig, RecoveryPolicy, ScoringMode,
 };

@@ -10,13 +10,12 @@
 
 use crate::binning::BinnedHits;
 use crate::cancel::CancelToken;
-use crate::config::{CuBlastpConfig, ExtensionStrategy, GappedBackend};
+use crate::config::{CuBlastpConfig, GappedBackend};
 use crate::devicedata::{DeviceDb, DeviceDbBlock, DeviceQuery};
 use crate::error::{panic_message, PipelineError, SearchError};
-use crate::gapped_device::{gapped_fine_kernel, GappedDeviceOutput, FINE_GAPPED_KERNEL};
+use crate::gapped_device::{gapped_fine_kernel, FINE_GAPPED_KERNEL};
 use crate::gpu_phase::{
-    check_phase_preamble, run_gpu_phase, run_gpu_tail, ExtensionsCsr, GpuPhaseCounts,
-    GpuPhaseOutput,
+    merge_kernels, run_gpu_phase_seeded, ExtensionsCsr, GpuPhaseCounts, GpuPhaseOutput,
 };
 use crate::grouped::{grouped_seeding_kernel, DeviceGroupIndex};
 use crate::grouping::plan_rounds;
@@ -25,9 +24,10 @@ use bio_seq::{DbBlock, Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::report::{Alignment, PhaseTimes, SearchReport};
 use blast_cpu::search::SearchEngine;
-use gpu_sim::{DeviceConfig, FaultCtx, FaultInjector, KernelStats, KernelWorkspace};
+use gpu_sim::{DeviceConfig, DeviceError, FaultCtx, FaultInjector, KernelStats, KernelWorkspace};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -267,48 +267,95 @@ impl CuBlastp {
         self.search_resident(db, &dev_db, true)
     }
 
-    /// Run one block's GPU phase under the recovery policy: retry
-    /// transient faults (workspace reset + linear backoff between
-    /// attempts), degrade permanent or retry-exhausted ones to the CPU
-    /// reference path when the policy allows, and fail the search with a
-    /// [`SearchError::Device`] otherwise.
-    fn run_block_recovered(
+    /// Run one device phase under the recovery policy (DESIGN.md §3.3) —
+    /// the one rule for the hit path and the gapped path alike. Transient
+    /// faults retry after a workspace reset and linear backoff, and every
+    /// retry first polls the deadline. A permanent or retry-exhausted
+    /// fault returns `Ok(None)` when the policy allows a CPU fallback (the
+    /// caller degrades) and fails the search with [`SearchError::Device`]
+    /// otherwise. Failed attempts, resets and backoff are billed to
+    /// `retry_wait_us`, not to compute.
+    fn recovered<T>(
         &self,
-        dev_block: &DeviceDbBlock,
-        block_idx: u32,
+        ctx: FaultCtx,
         blocks_total: u32,
-        cancel: &CancelToken,
-    ) -> Result<(GpuPhaseOutput, RecoveryReport), SearchError> {
-        let ctx = FaultCtx {
-            query: self.stream_index,
-            block: block_idx,
-        };
+        hooks: &SearchHooks<'_>,
+        retry_span: &'static str,
+        recovery: &mut RecoveryReport,
+        mut attempt: impl FnMut() -> Result<T, DeviceError>,
+    ) -> Result<Option<T>, SearchError> {
         let policy = self.config.recovery;
-        let mut recovery = RecoveryReport::default();
         let mut attempts = 0u32;
-        let final_err = loop {
+        loop {
             attempts += 1;
             // A retry is a fresh launch the deadline must cover: poll the
             // token so an expired query stops retrying and frees its slot.
-            if attempts > 1 && cancel.check() {
-                return Err(SearchError::DeadlineExceeded {
-                    elapsed_ms: cancel.elapsed_ms(),
-                    blocks_completed: block_idx,
-                    blocks_total,
-                });
+            if attempts > 1 && hooks.cancel.check() {
+                return Err(hooks.deadline_error(ctx.block, blocks_total));
             }
             // Re-launches after a fault get their own span, so retry storms
-            // are visible as repeated `block_retry` lanes in the trace.
+            // are visible as repeated retry lanes in the trace.
             let _retry_span = if attempts > 1 {
-                obs::span("block_retry", "recovery")
-                    .with_block(block_idx)
-                    .with_query(self.stream_index)
+                obs::span(retry_span, "recovery")
+                    .with_block(ctx.block)
+                    .with_query(ctx.query)
                     .with_arg("attempt", attempts as f64)
             } else {
                 obs::PhaseSpan::inert()
             };
             let t_attempt = Instant::now();
-            match run_gpu_phase(
+            let err = match attempt() {
+                Ok(out) => return Ok(Some(out)),
+                Err(e) => e,
+            };
+            recovery.faults += 1;
+            obs::counter("recovery_faults_total", &[], 1);
+            let retry = err.is_transient() && attempts < policy.max_attempts;
+            if retry {
+                // A retry starts from known-good device state: drop pooled
+                // buffers the failed launch may have left inconsistent,
+                // then back off linearly.
+                recovery.retries += 1;
+                obs::counter("recovery_retries_total", &[], 1);
+                self.workspace.reset();
+                if policy.backoff_ms > 0.0 {
+                    std::thread::sleep(Duration::from_secs_f64(
+                        policy.backoff_ms * attempts as f64 / 1e3,
+                    ));
+                }
+            }
+            recovery.retry_wait_us += t_attempt.elapsed().as_micros() as u64;
+            if retry {
+                continue;
+            }
+            if policy.cpu_fallback {
+                return Ok(None);
+            }
+            return Err(SearchError::Device {
+                source: err,
+                block: ctx.block,
+                attempts,
+            });
+        }
+    }
+
+    /// The hit path of one block (kernels 1–5) under the recovery policy.
+    /// `seeded` is this query's slice of a grouped seeding pass, if any:
+    /// the first attempt consumes it in place of kernel 1, and a retry
+    /// re-seeds through `binning_kernel`, which yields the same hits per
+    /// arena slot (the demux invariant of DESIGN.md §3.6). A block the
+    /// policy gives up on is re-run on the CPU reference path.
+    fn hit_phase(
+        &self,
+        dev_block: &DeviceDbBlock,
+        ctx: FaultCtx,
+        blocks_total: u32,
+        hooks: &SearchHooks<'_>,
+        mut seeded: Option<BinnedHits>,
+        recovery: &mut RecoveryReport,
+    ) -> Result<GpuPhaseOutput, SearchError> {
+        let out = self.recovered(ctx, blocks_total, hooks, "block_retry", recovery, || {
+            run_gpu_phase_seeded(
                 &self.device,
                 &self.config,
                 &self.query_device,
@@ -317,174 +364,80 @@ impl CuBlastp {
                 &self.workspace,
                 &self.injector,
                 ctx,
-            ) {
-                Ok(out) => return Ok((out, recovery)),
-                Err(e) => {
-                    recovery.faults += 1;
-                    obs::counter("recovery_faults_total", &[], 1);
-                    if e.is_transient() && attempts < policy.max_attempts {
-                        // A retry starts from known-good device state: drop
-                        // pooled buffers the failed launch may have left
-                        // inconsistent, then back off linearly.
-                        recovery.retries += 1;
-                        obs::counter("recovery_retries_total", &[], 1);
-                        self.workspace.reset();
-                        if policy.backoff_ms > 0.0 {
-                            std::thread::sleep(Duration::from_secs_f64(
-                                policy.backoff_ms * attempts as f64 / 1e3,
-                            ));
-                        }
-                        // The failed attempt, the reset and the backoff are
-                        // retry cost, not compute — billed separately so
-                        // phase tables stay honest.
-                        recovery.retry_wait_us += t_attempt.elapsed().as_micros() as u64;
-                        continue;
-                    }
-                    recovery.retry_wait_us += t_attempt.elapsed().as_micros() as u64;
-                    break e;
-                }
-            }
-        };
-        if policy.cpu_fallback {
+                seeded.take(),
+            )
+        })?;
+        Ok(out.unwrap_or_else(|| {
             recovery.degraded_blocks += 1;
             obs::counter("recovery_degraded_blocks_total", &[], 1);
             let _fb_span = obs::span("cpu_fallback", "recovery")
-                .with_block(block_idx)
-                .with_query(self.stream_index);
-            Ok((self.cpu_fallback_phase(dev_block), recovery))
-        } else {
-            Err(SearchError::Device {
-                source: final_err,
-                block: block_idx,
-                attempts,
-            })
-        }
-    }
-
-    /// Run the fine-grained device gapped kernel over one block's
-    /// extension CSR under the recovery policy (`--gapped-backend gpu`,
-    /// DESIGN.md §3.7): transient faults retry with workspace reset and
-    /// linear backoff; permanent or retry-exhausted faults degrade *only
-    /// this block's gapped phase* back to the CPU tail when the policy
-    /// allows (`Ok(None)` — the hit-path kernels' output is already
-    /// downloaded and stays valid), and fail the search otherwise.
-    fn run_gapped_device_recovered(
-        &self,
-        dev_block: &DeviceDbBlock,
-        extensions: &ExtensionsCsr,
-        block_idx: u32,
-    ) -> Result<(Option<GappedDeviceOutput>, RecoveryReport), SearchError> {
-        let ctx = FaultCtx {
-            query: self.stream_index,
-            block: block_idx,
-        };
-        let policy = self.config.recovery;
-        let mut recovery = RecoveryReport::default();
-        let mut attempts = 0u32;
-        let final_err = loop {
-            attempts += 1;
-            let _retry_span = if attempts > 1 {
-                obs::span("gapped_retry", "recovery")
-                    .with_block(block_idx)
-                    .with_query(self.stream_index)
-                    .with_arg("attempt", attempts as f64)
-            } else {
-                obs::PhaseSpan::inert()
-            };
-            let t_attempt = Instant::now();
-            let run = {
-                let _span = obs::span("gapped_device", "gpu")
-                    .with_block(block_idx)
-                    .with_query(self.stream_index);
-                gapped_fine_kernel(
-                    &self.device,
-                    &self.config,
-                    &self.query_device,
-                    self.engine.query.residues(),
-                    dev_block,
-                    extensions,
-                    &self.engine.params,
-                    self.engine.cutoffs.gapped_trigger,
-                    self.engine.cutoffs.report_cutoff,
-                    &self.workspace,
-                    &self.injector,
-                    ctx,
-                )
-            };
-            match run {
-                Ok(out) => {
-                    if obs::state() != 0 {
-                        let sim_ms = out.stats.time_ms(&self.device);
-                        obs::modelled(
-                            "gpu (modelled)",
-                            "gapped_extension_fine",
-                            sim_ms,
-                            Some(block_idx),
-                            None,
-                        );
-                        obs::observe("kernel_sim_ms", &[("kernel", FINE_GAPPED_KERNEL)], sim_ms);
-                    }
-                    return Ok((Some(out), recovery));
-                }
-                Err(e) => {
-                    recovery.faults += 1;
-                    obs::counter("recovery_faults_total", &[], 1);
-                    if e.is_transient() && attempts < policy.max_attempts {
-                        recovery.retries += 1;
-                        obs::counter("recovery_retries_total", &[], 1);
-                        self.workspace.reset();
-                        if policy.backoff_ms > 0.0 {
-                            std::thread::sleep(Duration::from_secs_f64(
-                                policy.backoff_ms * attempts as f64 / 1e3,
-                            ));
-                        }
-                        recovery.retry_wait_us += t_attempt.elapsed().as_micros() as u64;
-                        continue;
-                    }
-                    recovery.retry_wait_us += t_attempt.elapsed().as_micros() as u64;
-                    break e;
-                }
-            }
-        };
-        if policy.cpu_fallback {
-            recovery.degraded_gapped += 1;
-            obs::counter("recovery_degraded_gapped_total", &[], 1);
-            Ok((None, recovery))
-        } else {
-            Err(SearchError::Device {
-                source: final_err,
-                block: block_idx,
-                attempts,
-            })
-        }
+                .with_block(ctx.block)
+                .with_query(ctx.query);
+            self.cpu_fallback_phase(dev_block)
+        }))
     }
 
     /// Run the gapped backend for one block whose hit phase is done:
-    /// under [`GappedBackend::Gpu`] the fine kernel produces the block's
-    /// alignments on the device (its stats join `out.kernels` as the 6th
-    /// entry — zeroed when the gapped phase degraded — and its alignment
-    /// download joins `out.download_bytes`); under [`GappedBackend::Cpu`]
-    /// this is a no-op and the CPU tail owns the gapped phase.
-    fn attach_gapped_backend(
+    /// under [`GappedBackend::Gpu`] the fine kernel (DESIGN.md §3.7)
+    /// produces the block's alignments on the device under the recovery
+    /// policy — its stats join `out.kernels` as the 6th entry and its
+    /// alignment download joins `out.download_bytes`. A fault the policy
+    /// gives up on degrades *only this block's gapped phase* to the CPU
+    /// tail (`Ok(None)`, zeroed 6th entry; the hit-path output stays
+    /// valid). Under [`GappedBackend::Cpu`] this is a no-op and the CPU
+    /// tail owns the gapped phase.
+    fn gapped_phase(
         &self,
         dev_block: &DeviceDbBlock,
         out: &mut GpuPhaseOutput,
+        ctx: FaultCtx,
+        blocks_total: u32,
+        hooks: &SearchHooks<'_>,
         recovery: &mut RecoveryReport,
-        block_idx: u32,
     ) -> Result<Option<Vec<Vec<Alignment>>>, SearchError> {
         if self.config.gapped_backend != GappedBackend::Gpu {
             return Ok(None);
         }
-        let (dev_out, gr) =
-            self.run_gapped_device_recovered(dev_block, &out.extensions, block_idx)?;
-        recovery.absorb(&gr);
-        match dev_out {
+        let extensions = &out.extensions;
+        let run = self.recovered(ctx, blocks_total, hooks, "gapped_retry", recovery, || {
+            let _span = obs::span("gapped_device", "gpu")
+                .with_block(ctx.block)
+                .with_query(ctx.query);
+            gapped_fine_kernel(
+                &self.device,
+                &self.config,
+                &self.query_device,
+                self.engine.query.residues(),
+                dev_block,
+                extensions,
+                &self.engine.params,
+                self.engine.cutoffs.gapped_trigger,
+                self.engine.cutoffs.report_cutoff,
+                &self.workspace,
+                &self.injector,
+                ctx,
+            )
+        })?;
+        match run {
             Some(g) => {
+                if obs::state() != 0 {
+                    let sim_ms = g.stats.time_ms(&self.device);
+                    obs::modelled(
+                        "gpu (modelled)",
+                        "gapped_extension_fine",
+                        sim_ms,
+                        Some(ctx.block),
+                        None,
+                    );
+                    obs::observe("kernel_sim_ms", &[("kernel", FINE_GAPPED_KERNEL)], sim_ms);
+                }
                 out.download_bytes += g.download_bytes;
                 out.kernels.push(g.stats);
                 Ok(Some(g.alignments))
             }
             None => {
+                recovery.degraded_gapped += 1;
+                obs::counter("recovery_degraded_gapped_total", &[], 1);
                 // A zeroed 6th entry keeps the positional per-kernel merge
                 // aligned across blocks; `None` routes this block's tail to
                 // the CPU gapped phase (bit-identical by construction).
@@ -524,11 +477,6 @@ impl CuBlastp {
         stream.sort_by_key(|e| (e.seq_id, e.s_start, e.q_start, e.len));
         let n_ext = stream.len() as u64;
         let download_bytes = n_ext * std::mem::size_of::<blast_cpu::ungapped::UngappedExt>() as u64;
-        let extension_kernel_name = match self.config.extension {
-            ExtensionStrategy::Diagonal => "ungapped_extension_diagonal",
-            ExtensionStrategy::Hit => "ungapped_extension_hit",
-            ExtensionStrategy::Window => "ungapped_extension_window",
-        };
         GpuPhaseOutput {
             extensions: ExtensionsCsr::from_stream(stream, db.num_seqs()),
             // Zeroed stats under the standard names keep the per-kernel
@@ -538,7 +486,7 @@ impl CuBlastp {
                 "hit_assembling",
                 "hit_sorting",
                 "hit_filtering",
-                extension_kernel_name,
+                self.config.extension.kernel_name(),
             ]
             .into_iter()
             .map(KernelStats::new)
@@ -554,15 +502,11 @@ impl CuBlastp {
     }
 
     /// CPU tail for one block: gapped extension + traceback over the
-    /// block's extension CSR on the shared pool, with the Fig. 13
-    /// multicore wall-clock model and the phase's metrics. Shared between
-    /// the per-query pipeline and the grouped-seeding member tails.
-    fn cpu_finish_block(
-        &self,
-        db: &SequenceDb,
-        base: usize,
-        csr: &ExtensionsCsr,
-    ) -> (SearchReport, PhaseTimes, f64) {
+    /// block's extension CSR on the shared pool, with the phase's metrics.
+    /// Returns the block report and records the two sub-phases' modelled
+    /// multicore wall-clock (Fig. 13 scaling) on `b`.
+    fn cpu_finish_block(&self, db: &SequenceDb, b: &mut BlockRun) -> SearchReport {
+        let (base, csr) = (b.base, &b.out.extensions);
         let mut cpu_span = obs::span("cpu_phase", "cpu").with_query(self.stream_index);
         let mut times = PhaseTimes::default();
         let partials: Vec<(SearchReport, PhaseTimes)> =
@@ -595,7 +539,6 @@ impl CuBlastp {
         let cpu_scale = 1.0 / blast_cpu::search::modeled_parallel_speedup(self.config.cpu_threads);
         let gapped_ms = times.gapped.as_secs_f64() * 1e3 * cpu_scale;
         let traceback_ms = times.traceback.as_secs_f64() * 1e3 * cpu_scale;
-        let cpu_wall_ms = gapped_ms + traceback_ms;
         if obs::state() != 0 {
             cpu_span.set_arg("gapped_ms", gapped_ms);
             cpu_span.set_arg("traceback_ms", traceback_ms);
@@ -616,22 +559,27 @@ impl CuBlastp {
             obs::counter("alignments_total", &[], report.hits.len() as u64);
         }
         drop(cpu_span);
-        (report, times, cpu_wall_ms)
+        b.gapped_ms = gapped_ms;
+        b.traceback_ms = traceback_ms;
+        b.timing.cpu_ms = gapped_ms + traceback_ms;
+        report
     }
 
     /// CPU reporting tail for one block whose gapped extension *and*
     /// traceback already ran on the device (`--gapped-backend gpu`):
     /// statistics and e-value filtering over the downloaded alignments
-    /// only. Returns the block report and the measured host wall-clock of
-    /// the reporting pass (the CPU lane all but vanishes — the gapped
-    /// work now shows up in the block's kernel time instead).
+    /// only. Returns the block report and records the measured host
+    /// wall-clock of the reporting pass as the block's CPU stage (the CPU
+    /// lane all but vanishes — the gapped work now shows up in the block's
+    /// kernel time instead).
     fn cpu_report_block(
         &self,
         db: &SequenceDb,
-        base: usize,
+        b: &mut BlockRun,
         alignments: &[Vec<Alignment>],
-    ) -> (SearchReport, f64) {
+    ) -> SearchReport {
         let t0 = Instant::now();
+        let base = b.base;
         let cpu_span = obs::span("cpu_report", "cpu").with_query(self.stream_index);
         let mut report = SearchReport::default();
         for (local, aligns) in alignments.iter().enumerate() {
@@ -646,144 +594,8 @@ impl CuBlastp {
             obs::counter("alignments_total", &[], report.hits.len() as u64);
         }
         drop(cpu_span);
-        (report, t0.elapsed().as_secs_f64() * 1e3)
-    }
-
-    /// Finish a search whose hit detection already happened: one demuxed
-    /// [`BinnedHits`] arena per database block (this query's slice of a
-    /// grouped seeding pass) runs through kernels 2–5 and the CPU tail.
-    ///
-    /// The per-member `hit_detection` stats are zeroed — the grouped pass
-    /// is a round-level cost accounted once by the batch driver, not
-    /// re-billed to each member. Device faults on a member's tail degrade
-    /// straight to the CPU reference path when the policy allows (the
-    /// binned arena is consumed by the failed tail, so the retry path of
-    /// the per-query driver does not apply) and fail the member otherwise.
-    fn search_resident_prebinned(
-        &self,
-        db: &SequenceDb,
-        dev_db: &DeviceDb,
-        binned: Vec<BinnedHits>,
-    ) -> Result<CuBlastpResult, SearchError> {
-        let _search_span = obs::span("search", "host").with_query(self.stream_index);
-        self.config.validate()?;
-        let device = self.device;
-        debug_assert_eq!(binned.len(), dev_db.blocks().len());
-
-        let mut report = SearchReport::default();
-        let mut kernels: Vec<KernelStats> = Vec::new();
-        let mut counts = GpuPhaseCounts::default();
-        let mut timings: Vec<BlockTiming> = Vec::new();
-        let mut timing = CuBlastpTiming::default();
-        let mut recovery_total = RecoveryReport::default();
-        for ((idx, (block, dev_block)), member_bins) in
-            dev_db.blocks().iter().enumerate().zip(binned)
-        {
-            let ctx = FaultCtx {
-                query: self.stream_index,
-                block: idx as u32,
-            };
-            let tail = {
-                let _phase_span = obs::span("gpu_phase", "gpu")
-                    .with_block(ctx.block)
-                    .with_query(ctx.query);
-                check_phase_preamble(&self.injector, ctx).and_then(|()| {
-                    run_gpu_tail(
-                        &device,
-                        &self.config,
-                        &self.query_device,
-                        dev_block,
-                        &self.engine.params,
-                        &self.workspace,
-                        &self.injector,
-                        ctx,
-                        member_bins,
-                        KernelStats::new("hit_detection"),
-                    )
-                })
-            };
-            let mut out = match tail {
-                Ok(out) => out,
-                Err(e) => {
-                    recovery_total.faults += 1;
-                    obs::counter("recovery_faults_total", &[], 1);
-                    if self.config.recovery.cpu_fallback {
-                        recovery_total.degraded_blocks += 1;
-                        obs::counter("recovery_degraded_blocks_total", &[], 1);
-                        let _fb_span = obs::span("cpu_fallback", "recovery")
-                            .with_block(ctx.block)
-                            .with_query(ctx.query);
-                        self.cpu_fallback_phase(dev_block)
-                    } else {
-                        return Err(SearchError::Device {
-                            source: e,
-                            block: ctx.block,
-                            attempts: 1,
-                        });
-                    }
-                }
-            };
-            let aligns =
-                self.attach_gapped_backend(dev_block, &mut out, &mut recovery_total, ctx.block)?;
-            let d2h = device.transfer_ms(out.download_bytes);
-            obs::modelled(
-                "pcie d2h (modelled)",
-                "d2h_transfer",
-                d2h,
-                Some(ctx.block),
-                Some(self.stream_index),
-            );
-            obs::counter("pcie_bytes_total", &[("dir", "d2h")], out.download_bytes);
-            let (partial, times, cpu_wall_ms) = match aligns {
-                Some(a) => {
-                    let (partial, wall_ms) = self.cpu_report_block(db, block.start, &a);
-                    (partial, PhaseTimes::default(), wall_ms)
-                }
-                None => self.cpu_finish_block(db, block.start, &out.extensions),
-            };
-            report.hits.extend(partial.hits);
-            counts.hits += out.counts.hits;
-            counts.filtered += out.counts.filtered;
-            counts.extensions += out.counts.extensions;
-            counts.redundant += out.counts.redundant;
-            let gpu_ms = out.gpu_ms(&device);
-            if kernels.is_empty() {
-                kernels = out.kernels;
-            } else {
-                for (k, o) in kernels.iter_mut().zip(&out.kernels) {
-                    k.merge(o);
-                }
-            }
-            timings.push(BlockTiming {
-                h2d_ms: 0.0,
-                gpu_ms,
-                d2h_ms: d2h,
-                cpu_ms: cpu_wall_ms,
-            });
-            timing.gpu_ms += gpu_ms;
-            timing.d2h_ms += d2h;
-            let cpu_scale =
-                1.0 / blast_cpu::search::modeled_parallel_speedup(self.config.cpu_threads);
-            timing.gapped_ms += times.gapped.as_secs_f64() * 1e3 * cpu_scale;
-            timing.traceback_ms += times.traceback.as_secs_f64() * 1e3 * cpu_scale;
-            timing.cpu_wall_ms += cpu_wall_ms;
-        }
-        let t_merge = Instant::now();
-        report.finalize(self.engine.params.max_reported);
-        let pipeline = schedule(&timings);
-        timing.overlapped_ms = pipeline.overlapped_ms;
-        timing.serial_ms = pipeline.serial_ms;
-        timing.other_ms = self.setup_ms + t_merge.elapsed().as_secs_f64() * 1e3;
-
-        Ok(CuBlastpResult {
-            report,
-            kernels,
-            counts,
-            timing,
-            pipeline,
-            block_timings: timings,
-            recovery: recovery_total,
-        })
+        b.timing.cpu_ms = t0.elapsed().as_secs_f64() * 1e3;
+        report
     }
 
     /// Search against a database already resident on the device (see
@@ -812,6 +624,24 @@ impl CuBlastp {
         dev_db: &DeviceDb,
         charge_h2d: bool,
         hooks: &SearchHooks<'_>,
+    ) -> Result<CuBlastpResult, SearchError> {
+        self.search_blocks(db, dev_db, charge_h2d, hooks, None)
+    }
+
+    /// The block loop every search runs (Fig. 12): each resident block
+    /// goes through the hit path, the gapped backend and the CPU tail,
+    /// GPU and CPU sides overlapped, under one recovery policy with
+    /// cancellation checkpoints and per-block streaming. `seeded` carries
+    /// the prebinned arenas, in block order, of a grouped seeding round
+    /// that already did this query's hit detection (DESIGN.md §3.6); a
+    /// block without one is seeded by kernel 1.
+    fn search_blocks(
+        &self,
+        db: &SequenceDb,
+        dev_db: &DeviceDb,
+        charge_h2d: bool,
+        hooks: &SearchHooks<'_>,
+        seeded: Option<Vec<BinnedHits>>,
     ) -> Result<CuBlastpResult, SearchError> {
         let _search_span = obs::span("search", "host").with_query(self.stream_index);
         self.config.validate()?;
@@ -843,118 +673,124 @@ impl CuBlastp {
 
         // GPU side of one block: five kernels over the resident block
         // (six under the device gapped backend), under the recovery
-        // policy. `Some(alignments)` routes the block's CPU tail to the
-        // reporting-only path.
-        type GpuSideOut = Result<
-            (
-                u32,
-                usize,
-                GpuPhaseOutput,
-                Option<Vec<Vec<Alignment>>>,
-                RecoveryReport,
-                f64,
-                f64,
-            ),
-            SearchError,
-        >;
-        let gpu_side =
-            |(idx, (block, dev_block)): (usize, (DbBlock, Arc<DeviceDbBlock>))| -> GpuSideOut {
-                // Cancellation checkpoint between blocks: an expired query
-                // stops launching kernels and frees the device mid-search.
-                if hooks.cancel.check() {
-                    return Err(hooks.deadline_error(idx as u32, blocks_total));
-                }
-                let h2d = if charge_h2d {
-                    let ms = device.transfer_ms(dev_block.upload_bytes());
-                    obs::modelled(
-                        "pcie h2d (modelled)",
-                        "h2d_transfer",
-                        ms,
-                        Some(idx as u32),
-                        Some(self.stream_index),
-                    );
-                    obs::counter(
-                        "pcie_bytes_total",
-                        &[("dir", "h2d")],
-                        dev_block.upload_bytes(),
-                    );
-                    ms
-                } else {
-                    0.0
-                };
-                let (mut out, mut recovery) =
-                    self.run_block_recovered(&dev_block, idx as u32, blocks_total, &hooks.cancel)?;
-                let aligns =
-                    self.attach_gapped_backend(&dev_block, &mut out, &mut recovery, idx as u32)?;
-                let d2h = device.transfer_ms(out.download_bytes);
-                obs::modelled(
-                    "pcie d2h (modelled)",
-                    "d2h_transfer",
-                    d2h,
-                    Some(idx as u32),
-                    Some(self.stream_index),
-                );
-                obs::counter("pcie_bytes_total", &[("dir", "d2h")], out.download_bytes);
-                Ok((idx as u32, block.start, out, aligns, recovery, h2d, d2h))
+        // policy, plus the modelled PCIe legs.
+        type BlockInput = (usize, DbBlock, Arc<DeviceDbBlock>, Option<BinnedHits>);
+        let gpu_side = |(idx, block, dev_block, seeded): BlockInput| {
+            // Cancellation checkpoint between blocks: an expired query
+            // stops launching kernels and frees the device mid-search.
+            if hooks.cancel.check() {
+                return Err(hooks.deadline_error(idx as u32, blocks_total));
+            }
+            let ctx = FaultCtx {
+                query: self.stream_index,
+                block: idx as u32,
             };
+            let h2d_ms = if charge_h2d {
+                let ms = device.transfer_ms(dev_block.upload_bytes());
+                obs::modelled(
+                    "pcie h2d (modelled)",
+                    "h2d_transfer",
+                    ms,
+                    Some(ctx.block),
+                    Some(ctx.query),
+                );
+                obs::counter(
+                    "pcie_bytes_total",
+                    &[("dir", "h2d")],
+                    dev_block.upload_bytes(),
+                );
+                ms
+            } else {
+                0.0
+            };
+            let mut recovery = RecoveryReport::default();
+            let mut out =
+                self.hit_phase(&dev_block, ctx, blocks_total, hooks, seeded, &mut recovery)?;
+            let aligns = self.gapped_phase(
+                &dev_block,
+                &mut out,
+                ctx,
+                blocks_total,
+                hooks,
+                &mut recovery,
+            )?;
+            let d2h_ms = device.transfer_ms(out.download_bytes);
+            obs::modelled(
+                "pcie d2h (modelled)",
+                "d2h_transfer",
+                d2h_ms,
+                Some(ctx.block),
+                Some(ctx.query),
+            );
+            obs::counter("pcie_bytes_total", &[("dir", "d2h")], out.download_bytes);
+            Ok(BlockRun {
+                idx: ctx.block,
+                base: block.start,
+                timing: BlockTiming {
+                    h2d_ms,
+                    gpu_ms: out.gpu_ms(&device),
+                    d2h_ms,
+                    cpu_ms: 0.0,
+                },
+                out,
+                aligns,
+                recovery,
+                gapped_ms: 0.0,
+                traceback_ms: 0.0,
+            })
+        };
 
         // CPU side of one block: gapped extension + traceback on the
         // shared pool. The pool never oversubscribes the host; wall-clock
         // at the requested thread count is modelled from the summed
         // per-subject times (see `blast_cpu::search::modeled_parallel_speedup`).
         // A failed block skips the CPU phase and carries its error through.
-        type CpuSideOut = Result<
-            (
-                SearchReport,
-                PhaseTimes,
-                GpuPhaseOutput,
-                RecoveryReport,
-                f64,
-                f64,
-                f64,
-            ),
-            SearchError,
-        >;
-        let cpu_side = |gpu_out: GpuSideOut| -> CpuSideOut {
-            let (idx, base, out, aligns, recovery, h2d, d2h) = gpu_out?;
+        let cpu_side = |gpu_out: Result<BlockRun, SearchError>| {
+            let mut b = gpu_out?;
             // Checkpoint before the CPU tail: the GPU side may be a block
             // ahead, so an expired query skips its remaining host work too.
             if hooks.cancel.check() {
-                return Err(hooks.deadline_error(idx, blocks_total));
+                return Err(hooks.deadline_error(b.idx, blocks_total));
             }
-            let (report, times, cpu_wall_ms) = match aligns {
+            let report = match b.aligns.take() {
                 // Device gapped backend: the alignments came down the PCIe
                 // link already — the CPU lane only does statistics.
-                Some(a) => {
-                    let (report, wall_ms) = self.cpu_report_block(db, base, &a);
-                    (report, PhaseTimes::default(), wall_ms)
-                }
-                None => self.cpu_finish_block(db, base, &out.extensions),
+                Some(a) => self.cpu_report_block(db, &mut b, &a),
+                None => self.cpu_finish_block(db, &mut b),
             };
             if let Some(on_block) = hooks.on_block {
                 on_block(BlockProgress {
-                    block: idx,
+                    block: b.idx,
                     blocks_total,
                     partial: &report,
                 });
             }
-            Ok((report, times, out, recovery, h2d, d2h, cpu_wall_ms))
+            Ok((report, b))
         };
 
         // Run the pipeline: actually overlapped (two host threads) when
         // configured, serial otherwise. Functional output is identical.
-        let inputs: Vec<(usize, (DbBlock, Arc<DeviceDbBlock>))> = dev_db
+        let mut seeds = seeded.map(Vec::into_iter);
+        let inputs: Vec<BlockInput> = dev_db
             .blocks()
             .iter()
-            .map(|(b, d)| (*b, Arc::clone(d)))
             .enumerate()
+            .map(|(idx, (b, d))| {
+                (
+                    idx,
+                    *b,
+                    Arc::clone(d),
+                    seeds.as_mut().and_then(Iterator::next),
+                )
+            })
             .collect();
-        let block_results: Vec<CpuSideOut> = if self.config.overlap {
-            overlap_blocks_depth(self.config.pipeline.depth, inputs, gpu_side, cpu_side)
-                .map_err(SearchError::Pipeline)?
-        } else {
-            inputs.into_iter().map(|b| cpu_side(gpu_side(b))).collect()
-        };
+        let block_results: Vec<Result<(SearchReport, BlockRun), SearchError>> =
+            if self.config.overlap {
+                overlap_blocks_depth(self.config.pipeline.depth, inputs, gpu_side, cpu_side)
+                    .map_err(SearchError::Pipeline)?
+            } else {
+                inputs.into_iter().map(|b| cpu_side(gpu_side(b))).collect()
+            };
 
         // Merge.
         let t_merge = Instant::now();
@@ -964,38 +800,20 @@ impl CuBlastp {
         let mut counts = GpuPhaseCounts::default();
         let mut timings: Vec<BlockTiming> = Vec::new();
         let mut timing = CuBlastpTiming::default();
-        let mut recovery_total = RecoveryReport::default();
+        let mut recovery = RecoveryReport::default();
         for block_result in block_results {
-            let (partial, times, out, recovery, h2d, d2h, cpu_wall_ms) = block_result?;
+            let (partial, b) = block_result?;
             report.hits.extend(partial.hits);
-            recovery_total.absorb(&recovery);
-            counts.hits += out.counts.hits;
-            counts.filtered += out.counts.filtered;
-            counts.extensions += out.counts.extensions;
-            counts.redundant += out.counts.redundant;
-            let gpu_ms = out.gpu_ms(&device);
-            let block_kernels = out.kernels;
-            if kernels.is_empty() {
-                kernels = block_kernels;
-            } else {
-                for (k, o) in kernels.iter_mut().zip(&block_kernels) {
-                    k.merge(o);
-                }
-            }
-            timings.push(BlockTiming {
-                h2d_ms: h2d,
-                gpu_ms,
-                d2h_ms: d2h,
-                cpu_ms: cpu_wall_ms,
-            });
-            timing.gpu_ms += gpu_ms;
-            timing.h2d_ms += h2d;
-            timing.d2h_ms += d2h;
-            let cpu_scale =
-                1.0 / blast_cpu::search::modeled_parallel_speedup(self.config.cpu_threads);
-            timing.gapped_ms += times.gapped.as_secs_f64() * 1e3 * cpu_scale;
-            timing.traceback_ms += times.traceback.as_secs_f64() * 1e3 * cpu_scale;
-            timing.cpu_wall_ms += cpu_wall_ms;
+            recovery.absorb(&b.recovery);
+            counts.add(&b.out.counts);
+            merge_kernels(&mut kernels, b.out.kernels);
+            timing.gpu_ms += b.timing.gpu_ms;
+            timing.h2d_ms += b.timing.h2d_ms;
+            timing.d2h_ms += b.timing.d2h_ms;
+            timing.gapped_ms += b.gapped_ms;
+            timing.traceback_ms += b.traceback_ms;
+            timing.cpu_wall_ms += b.timing.cpu_ms;
+            timings.push(b.timing);
         }
         report.finalize(self.engine.params.max_reported);
         let pipeline = schedule(&timings);
@@ -1019,9 +837,25 @@ impl CuBlastp {
             timing,
             pipeline,
             block_timings: timings,
-            recovery: recovery_total,
+            recovery,
         })
     }
+}
+
+/// One database block between the two sides of the pipeline.
+struct BlockRun {
+    idx: u32,
+    /// Global index of the block's first subject.
+    base: usize,
+    out: GpuPhaseOutput,
+    /// Alignments the device gapped backend produced, if it ran.
+    aligns: Option<Vec<Vec<Alignment>>>,
+    recovery: RecoveryReport,
+    /// Modelled stage times; the CPU side fills in `cpu_ms`.
+    timing: BlockTiming,
+    /// Modelled wall-clock of the CPU gapped extension and traceback.
+    gapped_ms: f64,
+    traceback_ms: f64,
 }
 
 /// How a batch detects word hits (see DESIGN.md §3.6).
@@ -1233,30 +1067,23 @@ pub fn search_batch_parallel(
 }
 
 /// Batch driver. The database is flattened into device layout exactly
-/// once ([`DeviceDb`]); every query searches the resident copy, with only
-/// the first charged the upload. The batched makespan chains all queries'
-/// block timings through one [`schedule`] timeline, so later queries'
-/// GPU work overlaps earlier queries' CPU tail across query boundaries.
+/// once ([`DeviceDb`]) and every query searches the resident copy. Queries
+/// run in rounds: under [`SeedMode::PerQuery`] each query is a round of
+/// its own that seeds every block with kernel 1; under
+/// [`SeedMode::Grouped`] the batch is packed into index-budget-bounded
+/// rounds, each round runs one grouped seeding pass per database block,
+/// and every member's search consumes its demuxed arenas in place of
+/// kernel 1. Either way every member runs the one block loop of
+/// [`CuBlastp::search_resident_with_hooks`], with its retry, degradation
+/// and overlap, and per-query reports are bit-identical across modes.
 ///
-/// Queries are isolated: each runs under [`catch_unwind`], so a poisoned
-/// query (malformed state, injected panic) lands as an `Err` in its own
-/// `per_query` slot while every other query completes normally.
+/// The batched makespan chains all queries' block timings through one
+/// [`schedule`] timeline, so later queries' GPU work overlaps earlier
+/// queries' CPU tail across query boundaries. Queries are isolated: set-up
+/// and search each run under [`catch_unwind`], so a poisoned query lands
+/// as an `Err` in its own `per_query` slot while every other query
+/// completes normally.
 pub fn search_batch_with(
-    queries: &[Sequence],
-    params: SearchParams,
-    config: CuBlastpConfig,
-    device: DeviceConfig,
-    db: &SequenceDb,
-    opts: BatchOptions,
-) -> BatchOutcome {
-    match opts.seed_mode {
-        SeedMode::PerQuery => search_batch_per_query(queries, params, config, device, db, opts),
-        SeedMode::Grouped => search_batch_grouped(queries, params, config, device, db, opts),
-    }
-}
-
-/// The per-query batch driver (the default [`SeedMode::PerQuery`] path).
-fn search_batch_per_query(
     queries: &[Sequence],
     params: SearchParams,
     config: CuBlastpConfig,
@@ -1269,343 +1096,295 @@ fn search_batch_per_query(
     // One scratch pool for the whole stream: buffers warmed by early
     // queries serve every later one.
     let workspace = Arc::new(KernelWorkspace::new());
+    let grouped = opts.seed_mode == SeedMode::Grouped;
 
-    let run_query = |(i, q): (usize, &Sequence)| -> Result<CuBlastpResult, SearchError> {
-        // Time from batch start to this query's own start: scheduler queue
-        // wait, surfaced separately from compute in the recovery report.
-        let queue_wait_us = t0.elapsed().as_micros() as u64;
-        let mut result = catch_unwind(AssertUnwindSafe(|| {
-            let _batch_span = obs::span("batch_query", "batch").with_query(i as u32);
-            let mut searcher = CuBlastp::new(q.clone(), params, config, device, db);
-            searcher.workspace = Arc::clone(&workspace);
-            if let Some(inj) = &opts.injector {
-                searcher.injector = Arc::clone(inj);
-            }
-            searcher.stream_index = i as u32;
-            searcher.search_resident(db, &dev_db, i == 0)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(SearchError::Pipeline(PipelineError::WorkerPanicked {
-                side: "batch query",
-                payload: panic_message(payload.as_ref()),
-            }))
-        });
-        if let Ok(r) = &mut result {
-            r.recovery.queue_wait_us = queue_wait_us;
-            obs::observe("batch_queue_wait_ms", &[], queue_wait_us as f64 / 1e3);
-        }
-        let outcome = if result.is_ok() { "ok" } else { "err" };
-        obs::counter("batch_queries_total", &[("outcome", outcome)], 1);
-        result
+    let setup = |(i, q): (usize, &Sequence)| {
+        setup_stream_query(i, &workspace, opts.injector.as_ref(), || {
+            CuBlastp::new(q.clone(), params, config, device, db)
+        })
     };
-    let per_query: Vec<Result<CuBlastpResult, SearchError>> = if opts.parallel {
+    let setups: Vec<Result<CuBlastp, SearchError>> = if opts.parallel {
         blast_cpu::search::shared_pool()
-            .install(|| queries.par_iter().enumerate().map(run_query).collect())
+            .install(|| queries.par_iter().enumerate().map(setup).collect())
     } else {
-        queries.iter().enumerate().map(run_query).collect()
+        queries.iter().enumerate().map(setup).collect()
+    };
+    // A failed set-up already holds its slot's error; the rest are searched.
+    let mut slots: Vec<(usize, Result<CuBlastpResult, SearchError>)> = Vec::new();
+    let mut searchers: Vec<(usize, CuBlastp)> = Vec::with_capacity(queries.len());
+    for (i, s) in setups.into_iter().enumerate() {
+        match s {
+            Ok(s) => searchers.push((i, s)),
+            Err(e) => slots.push((i, Err(e))),
+        }
+    }
+
+    let rounds: Vec<Range<usize>> = if grouped {
+        let entry_counts: Vec<usize> = searchers
+            .iter()
+            .map(|(_, s)| s.query_device.dfa.neighborhood().total_entries())
+            .collect();
+        let rounds = plan_rounds(&entry_counts, opts.group_budget);
+        obs::counter("grouped_rounds_total", &[], rounds.len() as u64);
+        rounds
+    } else {
+        (0..searchers.len()).map(|k| k..k + 1).collect()
+    };
+
+    let run_round = |round: &Range<usize>| -> RoundRun {
+        let members = &searchers[round.clone()];
+        let (seeding, bins) = grouped
+            .then(|| seed_round(members, &dev_db, &device, &config, &workspace))
+            .unzip();
+        let mut member_bins = bins.map(Vec::into_iter);
+        let results = members
+            .iter()
+            .map(|(qi, searcher)| {
+                let seeded = member_bins.as_mut().and_then(Iterator::next);
+                // Per-query, the first query pays the database upload; a
+                // grouped batch bills it to its first seeding pass instead.
+                let charge_h2d = !grouped && *qi == 0;
+                let result = run_stream_query(t0, "batch_queries_total", || {
+                    let _batch_span = obs::span("batch_query", "batch").with_query(*qi as u32);
+                    searcher.search_blocks(db, &dev_db, charge_h2d, &SearchHooks::default(), seeded)
+                });
+                (*qi, result)
+            })
+            .collect();
+        RoundRun { seeding, results }
+    };
+    let runs: Vec<RoundRun> = if opts.parallel {
+        blast_cpu::search::shared_pool().install(|| rounds.par_iter().map(run_round).collect())
+    } else {
+        rounds.iter().map(run_round).collect()
     };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // Upload cost of each resident block, for re-adding H2D to queries
-    // that did not pay it when modelling their standalone cost.
-    let h2d_per_block: Vec<f64> = dev_db
-        .blocks()
-        .iter()
-        .map(|(_, b)| device.transfer_ms(b.upload_bytes()))
-        .collect();
-
-    // With the concurrent driver, query setups (DFA/PSSM build — "other")
-    // genuinely run on the pool while earlier queries stream through the
+    // With the concurrent per-query driver, query setups (DFA/PSSM build —
+    // "other") run on the pool while earlier queries stream through the
     // pipeline. Model them as work on the serial CPU resource of the
     // timeline — overlapping other queries' device stages but contending
     // with the gapped/traceback tail — at the concurrency the batch
-    // actually offers: min(modelled multicore speedup, batch size).
-    let setup_scale = if opts.parallel {
+    // actually offers: min(modelled multicore speedup, batch size). A
+    // grouped batch needs every set-up before its first round, so its
+    // set-ups stay serial.
+    let setup_scale = (opts.parallel && !grouped).then(|| {
         blast_cpu::search::modeled_parallel_speedup(config.cpu_threads)
             .min(queries.len() as f64)
             .max(1.0)
-    } else {
-        1.0
-    };
+    });
+    let (batch_ms, unbatched_ms) = batch_timelines(&runs, &dev_db, &device, setup_scale);
 
-    let mut stream: Vec<BlockTiming> = Vec::new();
-    let mut other_serial = 0.0f64;
-    let mut unbatched_ms = 0.0f64;
-    // Failed queries contribute nothing to the modelled timelines.
-    for (i, r) in per_query.iter().enumerate() {
-        let Ok(r) = r else { continue };
-        if opts.parallel {
-            stream.push(BlockTiming {
-                h2d_ms: 0.0,
-                gpu_ms: 0.0,
-                d2h_ms: 0.0,
-                cpu_ms: r.timing.other_ms / setup_scale,
-            });
-        } else {
-            other_serial += r.timing.other_ms;
-        }
-        stream.extend(&r.block_timings);
-        let mut alone = r.block_timings.clone();
-        if i > 0 {
-            for (t, h) in alone.iter_mut().zip(&h2d_per_block) {
-                t.h2d_ms = *h;
-            }
-        }
-        unbatched_ms += schedule(&alone).overlapped_ms + r.timing.other_ms;
+    let mut round_reports = Vec::new();
+    for run in runs {
+        round_reports.extend(run.seeding.map(|s| s.report));
+        slots.extend(run.results);
     }
-    let batch_ms = schedule(&stream).overlapped_ms + other_serial;
-
+    slots.sort_by_key(|(i, _)| *i);
     BatchOutcome {
-        per_query,
+        per_query: slots.into_iter().map(|(_, r)| r).collect(),
         batch_ms,
         unbatched_ms,
         wall_ms,
-        grouped: None,
+        grouped: grouped.then_some(GroupedReport {
+            rounds: round_reports,
+        }),
     }
 }
 
-/// The grouped batch driver ([`SeedMode::Grouped`]): pack the batch into
-/// index-budget-bounded rounds, run one grouped seeding pass per
-/// (round, database block), demux each pass into per-member hit arenas,
-/// and finish every member through the unchanged kernels 2–5 + CPU tail.
-///
-/// Per-query reports are bit-identical to the per-query driver (the demux
-/// reproduces each member's hit multiset per arena slot, and downstream
-/// sorting is insensitive to within-slot order). The modelled batch
-/// timeline charges each seeding pass once per round; the unbatched
-/// baseline conservatively charges every member the full pass of its
-/// round — i.e. what it would pay running the grouped engine alone.
-fn search_batch_grouped(
-    queries: &[Sequence],
-    params: SearchParams,
-    config: CuBlastpConfig,
-    device: DeviceConfig,
-    db: &SequenceDb,
-    opts: BatchOptions,
-) -> BatchOutcome {
-    let t0 = Instant::now();
-    let dev_db = DeviceDb::upload(db, config.db_block_size);
-    let workspace = Arc::new(KernelWorkspace::new());
+/// Run `f` with panics isolated: a panic becomes a
+/// [`PipelineError::WorkerPanicked`] naming `side`, so one poisoned query
+/// fails alone while the rest of its batch completes.
+fn isolated<T>(
+    side: &'static str,
+    f: impl FnOnce() -> Result<T, SearchError>,
+) -> Result<T, SearchError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(SearchError::Pipeline(PipelineError::WorkerPanicked {
+            side,
+            payload: panic_message(payload.as_ref()),
+        }))
+    })
+}
 
-    // Query setup (DFA/PSSM build + device upload), isolated per query so
-    // a poisoned input cannot take the batch down.
-    let mut searchers: Vec<Result<CuBlastp, SearchError>> = queries
-        .iter()
-        .enumerate()
-        .map(|(i, q)| {
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut s = CuBlastp::new(q.clone(), params, config, device, db);
-                s.workspace = Arc::clone(&workspace);
-                if let Some(inj) = &opts.injector {
-                    s.injector = Arc::clone(inj);
-                }
-                s.stream_index = i as u32;
-                s
-            }))
-            .map_err(|payload| {
-                SearchError::Pipeline(PipelineError::WorkerPanicked {
-                    side: "batch query setup",
-                    payload: panic_message(payload.as_ref()),
-                })
-            })
-        })
-        .collect();
+/// Set up query `index` of a batch stream, panic-isolated: `build` makes
+/// the searcher (DFA, PSSM, cutoffs), which then joins the stream's
+/// shared workspace and fault injector under its stream index.
+pub(crate) fn setup_stream_query(
+    index: usize,
+    workspace: &Arc<KernelWorkspace>,
+    injector: Option<&Arc<FaultInjector>>,
+    build: impl FnOnce() -> CuBlastp,
+) -> Result<CuBlastp, SearchError> {
+    isolated("batch query setup", || {
+        let mut searcher = build();
+        searcher.workspace = Arc::clone(workspace);
+        if let Some(inj) = injector {
+            searcher.injector = Arc::clone(inj);
+        }
+        searcher.stream_index = index as u32;
+        Ok(searcher)
+    })
+}
 
-    // Round packing over the queries that set up cleanly; failed ones
-    // already occupy their per_query slot as errors.
-    let ok_idx: Vec<usize> = searchers
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.is_ok().then_some(i))
-        .collect();
-    let entry_counts: Vec<usize> = ok_idx
-        .iter()
-        .map(|&i| match &searchers[i] {
-            Ok(s) => s.query_device.dfa.neighborhood().total_entries(),
-            Err(_) => unreachable!("ok_idx only holds Ok slots"),
-        })
-        .collect();
-    let rounds = plan_rounds(&entry_counts, opts.group_budget);
-    obs::counter("grouped_rounds_total", &[], rounds.len() as u64);
+/// Run one set-up query of a batch stream, panic-isolated: the result
+/// records the time since batch start `t0` as its queue wait (telemetry,
+/// apart from compute) and the outcome is counted under `counter`.
+pub(crate) fn run_stream_query(
+    t0: Instant,
+    counter: &'static str,
+    search: impl FnOnce() -> Result<CuBlastpResult, SearchError>,
+) -> Result<CuBlastpResult, SearchError> {
+    let queue_wait_us = t0.elapsed().as_micros() as u64;
+    let mut result = isolated("batch query", search);
+    if let Ok(r) = &mut result {
+        r.recovery.queue_wait_us = queue_wait_us;
+        obs::observe("batch_queue_wait_ms", &[], queue_wait_us as f64 / 1e3);
+    }
+    let outcome = if result.is_ok() { "ok" } else { "err" };
+    obs::counter(counter, &[("outcome", outcome)], 1);
+    result
+}
+
+/// One round of a batch: its grouped seeding pass (`None` per-query) and
+/// its members' results in batch order.
+struct RoundRun {
+    seeding: Option<RoundSeeding>,
+    results: Vec<(usize, Result<CuBlastpResult, SearchError>)>,
+}
+
+/// What one grouped seeding pass cost, for the batch timelines.
+struct RoundSeeding {
+    report: RoundReport,
+    /// Simulated seeding time per database block.
+    block_ms: Vec<f64>,
+}
+
+/// One grouped seeding pass over every resident block for the round's
+/// `members`: upload their shared word index, probe each block once, and
+/// demux the hits into one arena per (member, block).
+fn seed_round(
+    members: &[(usize, CuBlastp)],
+    dev_db: &DeviceDb,
+    device: &DeviceConfig,
+    config: &CuBlastpConfig,
+    workspace: &KernelWorkspace,
+) -> (RoundSeeding, Vec<Vec<BinnedHits>>) {
+    let first_query = members.first().map_or(0, |(qi, _)| *qi);
+    let member_queries: Vec<&DeviceQuery> = members.iter().map(|(_, s)| &s.query_device).collect();
+    let group = {
+        let _span = obs::span("group_index_build", "grouped").with_query(first_query as u32);
+        DeviceGroupIndex::upload(&member_queries)
+    };
+    let index = group.index();
+    obs::gauge("group_index_occupancy", &[], index.occupancy());
+    obs::gauge("group_index_entries", &[], index.entries() as f64);
+    obs::gauge("group_members", &[], members.len() as f64);
 
     let num_blocks = dev_db.blocks().len();
-    let mut per_query: Vec<Option<Result<CuBlastpResult, SearchError>>> =
-        (0..queries.len()).map(|_| None).collect();
-    let mut round_reports: Vec<RoundReport> = Vec::with_capacity(rounds.len());
-    let mut seeding_rows: Vec<BlockTiming> = Vec::new();
-    // Per-round, per-block seeding gpu_ms — re-billed to standalone
-    // members by the unbatched model.
-    let mut round_block_ms: Vec<Vec<f64>> = Vec::with_capacity(rounds.len());
-
-    for round in &rounds {
-        let members: Vec<&CuBlastp> = ok_idx[round.clone()]
-            .iter()
-            .map(|&i| match &searchers[i] {
-                Ok(s) => s,
-                Err(_) => unreachable!("ok_idx only holds Ok slots"),
-            })
-            .collect();
-        let member_queries: Vec<&DeviceQuery> = members.iter().map(|s| &s.query_device).collect();
-
-        let group = {
-            let _span =
-                obs::span("group_index_build", "grouped").with_query(ok_idx[round.start] as u32);
-            DeviceGroupIndex::upload(&member_queries)
-        };
-        let index = group.index();
-        obs::gauge("group_index_occupancy", &[], index.occupancy());
-        obs::gauge("group_index_entries", &[], index.entries() as f64);
-        obs::gauge("group_members", &[], members.len() as f64);
-        let index_h2d_ms = device.transfer_ms(group.upload_bytes());
-
-        // One pass over each resident block for the whole round.
-        let mut per_member_bins: Vec<Vec<BinnedHits>> = (0..members.len())
-            .map(|_| Vec::with_capacity(num_blocks))
-            .collect();
-        let mut seeding_ms = 0.0f64;
-        let mut block_ms = Vec::with_capacity(num_blocks);
-        for (idx, (_, dev_block)) in dev_db.blocks().iter().enumerate() {
-            let mut k_span = obs::span("grouped_seeding", "kernel").with_block(idx as u32);
-            let (bins, stats) =
-                grouped_seeding_kernel(&device, &config, &group, dev_block, &workspace);
-            let sim_ms = stats.time_ms(&device);
-            k_span.set_arg("sim_ms", sim_ms);
-            drop(k_span);
-            obs::modelled(
-                "gpu (modelled)",
-                "grouped_seeding",
-                sim_ms,
-                Some(idx as u32),
-                None,
-            );
-            seeding_ms += sim_ms;
-            block_ms.push(sim_ms);
-            for (m, b) in bins.into_iter().enumerate() {
-                per_member_bins[m].push(b);
-            }
-            seeding_rows.push(BlockTiming {
-                // The first round's first pass rides on the database
-                // upload; the index upload is charged to the round's
-                // first block row.
-                h2d_ms: if idx == 0 { index_h2d_ms } else { 0.0 }
-                    + if round_reports.is_empty() {
-                        device.transfer_ms(dev_block.upload_bytes())
-                    } else {
-                        0.0
-                    },
-                gpu_ms: sim_ms,
-                d2h_ms: 0.0,
-                cpu_ms: 0.0,
-            });
+    let mut per_member_bins: Vec<Vec<BinnedHits>> = (0..members.len())
+        .map(|_| Vec::with_capacity(num_blocks))
+        .collect();
+    let mut block_ms = Vec::with_capacity(num_blocks);
+    for (idx, (_, dev_block)) in dev_db.blocks().iter().enumerate() {
+        let mut k_span = obs::span("grouped_seeding", "kernel").with_block(idx as u32);
+        let (bins, stats) = grouped_seeding_kernel(device, config, &group, dev_block, workspace);
+        let sim_ms = stats.time_ms(device);
+        k_span.set_arg("sim_ms", sim_ms);
+        drop(k_span);
+        obs::modelled(
+            "gpu (modelled)",
+            "grouped_seeding",
+            sim_ms,
+            Some(idx as u32),
+            None,
+        );
+        block_ms.push(sim_ms);
+        for (m, b) in bins.into_iter().enumerate() {
+            per_member_bins[m].push(b);
         }
-        round_block_ms.push(block_ms);
-
-        round_reports.push(RoundReport {
-            first_query: ok_idx[round.start],
+    }
+    let seeding = RoundSeeding {
+        report: RoundReport {
+            first_query,
             members: members.len(),
             index_entries: index.entries(),
             index_capacity: index.capacity(),
             occupancy: index.occupancy(),
             index_upload_bytes: group.upload_bytes(),
-            seeding_ms,
+            seeding_ms: block_ms.iter().sum(),
             blocks: num_blocks,
-        });
+        },
+        block_ms,
+    };
+    (seeding, per_member_bins)
+}
 
-        // Finish each member through kernels 2–5 and the CPU tail,
-        // panic-isolated like the per-query driver.
-        for (m, bins) in per_member_bins.into_iter().enumerate() {
-            let qi = ok_idx[round.start + m];
-            let searcher = match &searchers[qi] {
-                Ok(s) => s,
-                Err(_) => unreachable!("ok_idx only holds Ok slots"),
-            };
-            let queue_wait_us = t0.elapsed().as_micros() as u64;
-            let mut result = catch_unwind(AssertUnwindSafe(|| {
-                let _batch_span = obs::span("batch_query", "batch").with_query(qi as u32);
-                searcher.search_resident_prebinned(db, &dev_db, bins)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(SearchError::Pipeline(PipelineError::WorkerPanicked {
-                    side: "batch query",
-                    payload: panic_message(payload.as_ref()),
-                }))
-            });
-            if let Ok(r) = &mut result {
-                r.recovery.queue_wait_us = queue_wait_us;
-                obs::observe("batch_queue_wait_ms", &[], queue_wait_us as f64 / 1e3);
-            }
-            let outcome = if result.is_ok() { "ok" } else { "err" };
-            obs::counter("batch_queries_total", &[("outcome", outcome)], 1);
-            per_query[qi] = Some(result);
-        }
-    }
-
-    // Fold setup failures back into their input slots.
-    for (i, slot) in per_query.iter_mut().enumerate() {
-        if slot.is_none() {
-            let err = match std::mem::replace(
-                &mut searchers[i],
-                Err(SearchError::config("slot already drained")),
-            ) {
-                Err(e) => e,
-                Ok(_) => SearchError::config("grouped driver skipped a healthy query"),
-            };
-            *slot = Some(Err(err));
-        }
-    }
-    let per_query: Vec<Result<CuBlastpResult, SearchError>> = per_query
-        .into_iter()
-        .map(|r| {
-            r.unwrap_or_else(|| {
-                Err(SearchError::config(
-                    "grouped driver left a query slot unfilled",
-                ))
-            })
-        })
-        .collect();
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    // Modelled timelines. The batch pays each seeding pass once (the
-    // seeding rows) and chains every member's tail; a standalone member
-    // would pay the database upload plus its round's full seeding passes
-    // itself.
+/// The batch's two modelled makespans, `(batch_ms, unbatched_ms)`.
+///
+/// The batch timeline runs every grouped seeding pass once (the first
+/// pass of each round carries the index upload, the first round's passes
+/// the database upload), then chains every member's block timings. Query
+/// set-up is serial "other" time, or — with `setup_scale` — a CPU row per
+/// query at that concurrency. The unbatched baseline runs each query
+/// alone: it re-pays the database upload and, for a grouped member, the
+/// full seeding passes of its round, i.e. what it would pay running the
+/// grouped engine by itself.
+fn batch_timelines(
+    runs: &[RoundRun],
+    dev_db: &DeviceDb,
+    device: &DeviceConfig,
+    setup_scale: Option<f64>,
+) -> (f64, f64) {
     let h2d_per_block: Vec<f64> = dev_db
         .blocks()
         .iter()
         .map(|(_, b)| device.transfer_ms(b.upload_bytes()))
         .collect();
-    let mut stream: Vec<BlockTiming> = seeding_rows;
+    let mut stream: Vec<BlockTiming> = Vec::new();
+    for (round_i, seeding) in runs
+        .iter()
+        .filter_map(|run| run.seeding.as_ref())
+        .enumerate()
+    {
+        let index_h2d_ms = device.transfer_ms(seeding.report.index_upload_bytes);
+        for (idx, (&gpu_ms, &db_h2d)) in seeding.block_ms.iter().zip(&h2d_per_block).enumerate() {
+            stream.push(BlockTiming {
+                h2d_ms: if idx == 0 { index_h2d_ms } else { 0.0 }
+                    + if round_i == 0 { db_h2d } else { 0.0 },
+                gpu_ms,
+                d2h_ms: 0.0,
+                cpu_ms: 0.0,
+            });
+        }
+    }
     let mut other_serial = 0.0f64;
     let mut unbatched_ms = 0.0f64;
-    for (round_i, round) in rounds.iter().enumerate() {
-        for m in 0..round.len() {
-            let qi = ok_idx[round.start + m];
-            let Ok(r) = &per_query[qi] else { continue };
-            other_serial += r.timing.other_ms;
+    // Failed queries contribute nothing to the modelled timelines.
+    for run in runs {
+        for (_, r) in &run.results {
+            let Ok(r) = r else { continue };
+            match setup_scale {
+                Some(scale) => stream.push(BlockTiming {
+                    h2d_ms: 0.0,
+                    gpu_ms: 0.0,
+                    d2h_ms: 0.0,
+                    cpu_ms: r.timing.other_ms / scale,
+                }),
+                None => other_serial += r.timing.other_ms,
+            }
             stream.extend(&r.block_timings);
             let mut alone = r.block_timings.clone();
-            for ((t, h), seed) in alone
-                .iter_mut()
-                .zip(&h2d_per_block)
-                .zip(&round_block_ms[round_i])
-            {
+            for (idx, (t, h)) in alone.iter_mut().zip(&h2d_per_block).enumerate() {
                 t.h2d_ms = *h;
-                t.gpu_ms += *seed;
+                if let Some(seeding) = &run.seeding {
+                    t.gpu_ms += seeding.block_ms[idx];
+                }
             }
             unbatched_ms += schedule(&alone).overlapped_ms + r.timing.other_ms;
         }
     }
-    let batch_ms = schedule(&stream).overlapped_ms + other_serial;
-
-    BatchOutcome {
-        per_query,
-        batch_ms,
-        unbatched_ms,
-        wall_ms,
-        grouped: Some(GroupedReport {
-            rounds: round_reports,
-        }),
-    }
+    (schedule(&stream).overlapped_ms + other_serial, unbatched_ms)
 }
 
 #[cfg(test)]
@@ -2043,8 +1822,8 @@ mod tests {
 
     #[test]
     fn grouped_batch_with_gpu_gapped_backend_is_identical() {
-        // The prebinned member tail must honour the backend too: grouped
-        // seeding + device gapped phase vs the plain per-query CPU tail.
+        // A grouped member must honour the backend too: grouped seeding +
+        // device gapped phase vs the plain per-query CPU tail.
         let (q, db) = workload();
         let queries = vec![q, make_query(80), make_query(110)];
         let cpu_cfg = CuBlastpConfig {
@@ -2153,32 +1932,57 @@ mod tests {
             DeviceConfig::k20c(),
             &db,
         );
-        let injector = Arc::new(FaultInjector::new(
-            FaultPlan::none().with(FaultSpec::permanent(FaultSite::DeviceAlloc).on_query(1)),
-        ));
-        let out = search_batch_with(
-            &queries,
-            SearchParams::default(),
-            cfg,
-            DeviceConfig::k20c(),
-            &db,
-            BatchOptions {
-                seed_mode: SeedMode::Grouped,
-                injector: Some(injector),
-                ..Default::default()
+        let clean_key = clean.per_query[1]
+            .as_ref()
+            .expect("clean")
+            .report
+            .identity_key();
+        let strict = CuBlastpConfig {
+            recovery: crate::config::RecoveryPolicy {
+                cpu_fallback: false,
+                ..cfg.recovery
             },
-        );
-        assert_eq!(out.succeeded(), 3);
-        let r1 = out.per_query[1].as_ref().expect("degraded, not failed");
-        assert!(r1.recovery.degraded_blocks > 0);
-        assert_eq!(
-            r1.report.identity_key(),
-            clean.per_query[1]
-                .as_ref()
-                .expect("clean")
-                .report
-                .identity_key()
-        );
+            ..cfg
+        };
+        // (fault on query 1, config, expect degradation): a permanent
+        // allocation fault degrades; a one-shot launch fault recovers by
+        // retry, with or without a CPU fallback to lean on. Grouped
+        // members follow the same recovery rule as per-query searches.
+        let cases = [
+            (FaultSpec::permanent(FaultSite::DeviceAlloc), cfg, true),
+            (FaultSpec::once(FaultSite::KernelLaunch), cfg, false),
+            (FaultSpec::once(FaultSite::KernelLaunch), strict, false),
+        ];
+        for seed_mode in [SeedMode::PerQuery, SeedMode::Grouped] {
+            for (spec, config, degrades) in cases.clone() {
+                let spec = spec.on_query(1);
+                let fallback = config.recovery.cpu_fallback;
+                let label = format!("{seed_mode:?} / {spec:?} / fallback {fallback}");
+                let injector = Arc::new(FaultInjector::new(FaultPlan::none().with(spec)));
+                let out = search_batch_with(
+                    &queries,
+                    SearchParams::default(),
+                    config,
+                    DeviceConfig::k20c(),
+                    &db,
+                    BatchOptions {
+                        seed_mode,
+                        injector: Some(injector),
+                        ..Default::default()
+                    },
+                );
+                assert_eq!(out.succeeded(), 3, "{label}");
+                let r1 = out.per_query[1].as_ref().expect("recovered, not failed");
+                assert_eq!(r1.report.identity_key(), clean_key, "{label}");
+                assert!(r1.recovery.faults >= 1, "{label}");
+                if degrades {
+                    assert!(r1.recovery.degraded_blocks > 0, "{label}");
+                } else {
+                    assert!(r1.recovery.retries >= 1, "{label}");
+                    assert_eq!(r1.recovery.degraded_blocks, 0, "{label}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The sharded multi-device execution engine (DESIGN.md §3.10).
 //!
 //! The paper's §6 future work — GPU-cluster scale-out for very large
-//! databases — promoted from the analytic model in [`crate::cluster`] to a
-//! real execution layer. The database is partitioned into [`DbShard`]s
+//! databases — as a real execution layer. The database is partitioned into [`DbShard`]s
 //! (mpiBLAST-style contiguous segmentation), each flattened into its own
 //! resident [`DeviceDb`] (or materialised zero-copy from a per-shard
 //! `.cdb` image), and (query × shard) work items are distributed across N
@@ -26,18 +25,19 @@
 
 use crate::config::CuBlastpConfig;
 use crate::devicedata::DeviceDb;
-use crate::error::{panic_message, PipelineError, SearchError};
+use crate::error::SearchError;
+use crate::gpu_phase::merge_kernels;
 use crate::pipeline::PipelineSchedule;
 use crate::scheduler::{schedule_work_stealing, StealSchedule, DEFAULT_STEAL_SEED};
 use crate::search::{
-    BlockProgress, CuBlastp, CuBlastpResult, CuBlastpTiming, RecoveryReport, SearchHooks,
+    run_stream_query, setup_stream_query, BlockProgress, CuBlastp, CuBlastpResult, CuBlastpTiming,
+    RecoveryReport, SearchHooks,
 };
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
 use blast_cpu::report::SearchReport;
 use cublastp_db::DbImage;
 use gpu_sim::{DeviceConfig, FaultInjector, KernelStats, KernelWorkspace};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -271,16 +271,15 @@ pub struct ShardedResult {
 impl ShardedResult {
     /// Makespan speedup over the single-device baseline.
     pub fn speedup(&self) -> f64 {
-        if self.schedule.makespan_ms <= 0.0 {
-            1.0
-        } else {
-            self.single_device_ms / self.schedule.makespan_ms
-        }
+        speedup(&self.schedule, self.single_device_ms)
     }
 }
 
-/// Accumulates per-shard [`CuBlastpResult`]s into one merged result whose
-/// report, counters and timings look exactly like a single-DB run.
+/// Accumulates one query's per-shard [`CuBlastpResult`]s into one merged
+/// result whose report, counters and timings look exactly like a
+/// single-DB run, plus the (query, shard) work items for the fleet
+/// schedule.
+#[derive(Default)]
 struct ShardMerge {
     report: SearchReport,
     kernels: Vec<KernelStats>,
@@ -288,47 +287,35 @@ struct ShardMerge {
     timing: CuBlastpTiming,
     block_timings: Vec<crate::pipeline::BlockTiming>,
     recovery: RecoveryReport,
+    /// Modelled on-device cost of each (query, shard) item: the shard's
+    /// overlapped pipeline makespan. Uploads are billed by the scheduler
+    /// per (device, shard) first touch, setup once globally.
+    item_costs: Vec<f64>,
+    /// Shard of each item (parallel to `item_costs`).
+    item_shards: Vec<usize>,
+    /// Item cost plus shard upload, indexed by shard.
+    per_shard_ms: Vec<f64>,
+    /// Hits each shard contributed, indexed by shard.
+    per_shard_hits: Vec<usize>,
 }
 
 impl ShardMerge {
-    fn new() -> Self {
-        Self {
-            report: SearchReport::default(),
-            kernels: Vec::new(),
-            counts: Default::default(),
-            timing: CuBlastpTiming::default(),
-            block_timings: Vec::new(),
-            recovery: RecoveryReport::default(),
-        }
-    }
-
     /// Fold one shard's result in, remapping subject indices by the
     /// shard's global start. Returns the shard's remapped partial report
-    /// (for streaming hooks) and its hit count.
-    fn absorb(&mut self, shard_start: usize, r: CuBlastpResult) -> (SearchReport, usize) {
+    /// (for streaming hooks).
+    fn absorb(&mut self, shard: &DbShard, upload_ms: f64, r: CuBlastpResult) -> SearchReport {
+        let cost = r.timing.overlapped_ms;
+        self.per_shard_ms[shard.index] = cost + upload_ms;
+        self.item_costs.push(cost);
+        self.item_shards.push(shard.index);
         let mut partial = r.report;
         for hit in &mut partial.hits {
-            hit.subject_index += shard_start;
+            hit.subject_index += shard.start;
         }
-        let hits = partial.hits.len();
+        self.per_shard_hits[shard.index] = partial.hits.len();
         self.report.hits.extend(partial.hits.iter().cloned());
-        if self.kernels.is_empty() {
-            self.kernels = r.kernels;
-        } else {
-            for (k, o) in self.kernels.iter_mut().zip(&r.kernels) {
-                k.merge(o);
-            }
-            // A shard that degraded its gapped phase differently can carry
-            // an extra kernel entry; keep it rather than dropping stats.
-            if r.kernels.len() > self.kernels.len() {
-                self.kernels
-                    .extend(r.kernels.into_iter().skip(self.kernels.len()));
-            }
-        }
-        self.counts.hits += r.counts.hits;
-        self.counts.filtered += r.counts.filtered;
-        self.counts.extensions += r.counts.extensions;
-        self.counts.redundant += r.counts.redundant;
+        merge_kernels(&mut self.kernels, r.kernels);
+        self.counts.add(&r.counts);
         self.timing.gpu_ms += r.timing.gpu_ms;
         self.timing.h2d_ms += r.timing.h2d_ms;
         self.timing.d2h_ms += r.timing.d2h_ms;
@@ -341,27 +328,50 @@ impl ShardMerge {
         self.timing.serial_ms += r.timing.serial_ms;
         self.block_timings.extend(r.block_timings);
         self.recovery.absorb(&r.recovery);
-        (partial, hits)
+        partial
     }
 
-    /// Finish the merge: rank the global report and stamp the fleet
-    /// makespan as the overlapped time.
-    fn finish(mut self, max_reported: usize, makespan_ms: f64) -> CuBlastpResult {
+    /// Finish the merge: rank the global report and stamp `makespan_ms`
+    /// as the overlapped time.
+    fn finish(&mut self, max_reported: usize, makespan_ms: f64) -> CuBlastpResult {
         self.report.finalize(max_reported);
         self.timing.overlapped_ms = makespan_ms;
-        let serial_ms = self.timing.serial_ms;
         CuBlastpResult {
-            report: self.report,
-            kernels: self.kernels,
+            report: std::mem::take(&mut self.report),
+            kernels: std::mem::take(&mut self.kernels),
             counts: self.counts,
             timing: self.timing,
             pipeline: PipelineSchedule {
                 overlapped_ms: makespan_ms,
-                serial_ms,
+                serial_ms: self.timing.serial_ms,
             },
-            block_timings: self.block_timings,
+            block_timings: std::mem::take(&mut self.block_timings),
             recovery: self.recovery,
         }
+    }
+}
+
+/// Schedule (query × shard) items across the devices of `opts`, publish
+/// the fleet metrics, and return the schedule with its one-device
+/// makespan (the scaling baseline).
+fn fleet_schedule(
+    costs: &[f64],
+    shards: &[usize],
+    uploads: &[f64],
+    opts: &ShardedOptions,
+) -> (StealSchedule, f64) {
+    let schedule = schedule_work_stealing(costs, shards, uploads, opts.devices, opts.seed);
+    let single_device_ms = schedule_work_stealing(costs, shards, uploads, 1, opts.seed).makespan_ms;
+    publish_fleet_metrics(&schedule);
+    (schedule, single_device_ms)
+}
+
+/// Makespan speedup of `schedule` over the single-device baseline.
+fn speedup(schedule: &StealSchedule, single_device_ms: f64) -> f64 {
+    if schedule.makespan_ms <= 0.0 {
+        1.0
+    } else {
+        single_device_ms / schedule.makespan_ms
     }
 }
 
@@ -404,31 +414,42 @@ pub fn search_sharded_with_hooks(
     opts: &ShardedOptions,
     hooks: &SearchHooks<'_>,
 ) -> Result<ShardedResult, SearchError> {
+    let uploads = sharded.upload_ms(&searcher.device);
+    let mut merge = search_shards(searcher, sharded, hooks, &uploads)?;
+    let (schedule, single_device_ms) =
+        fleet_schedule(&merge.item_costs, &merge.item_shards, &uploads, opts);
+    let result = merge.finish(searcher.engine.params.max_reported, schedule.makespan_ms);
+    Ok(ShardedResult {
+        result,
+        per_shard_ms: merge.per_shard_ms,
+        per_shard_hits: merge.per_shard_hits,
+        schedule,
+        single_device_ms,
+    })
+}
+
+/// The shard loop shared by the single-query and batch entry points:
+/// search each non-empty shard under `hooks` (cancellation inside every
+/// shard; `on_block` once per completed shard) and fold the results in.
+fn search_shards(
+    searcher: &CuBlastp,
+    sharded: &ShardedDb,
+    hooks: &SearchHooks<'_>,
+    uploads: &[f64],
+) -> Result<ShardMerge, SearchError> {
     let num_shards = sharded.num_shards();
     let inner_hooks = SearchHooks {
         cancel: hooks.cancel.clone(),
         on_block: None,
     };
-    let mut merge = ShardMerge::new();
-    let mut per_shard_ms = vec![0.0f64; num_shards];
-    let mut per_shard_hits = vec![0usize; num_shards];
-    let mut item_costs = Vec::new();
-    let mut item_shards = Vec::new();
-    let uploads = sharded.upload_ms(&searcher.device);
-    for shard in sharded.shards() {
-        if shard.is_empty() {
-            continue;
-        }
+    let mut merge = ShardMerge {
+        per_shard_ms: vec![0.0f64; num_shards],
+        per_shard_hits: vec![0usize; num_shards],
+        ..ShardMerge::default()
+    };
+    for shard in sharded.shards().iter().filter(|s| !s.is_empty()) {
         let r = searcher.search_resident_with_hooks(&shard.db, &shard.dev, false, &inner_hooks)?;
-        // Modelled on-device cost of this (query, shard) item: the shard's
-        // overlapped pipeline makespan. Uploads are billed by the
-        // scheduler per (device, shard) first touch, setup once globally.
-        let cost = r.timing.overlapped_ms;
-        per_shard_ms[shard.index] = cost + uploads[shard.index];
-        item_costs.push(cost);
-        item_shards.push(shard.index);
-        let (partial, hits) = merge.absorb(shard.start, r);
-        per_shard_hits[shard.index] = hits;
+        let partial = merge.absorb(shard, uploads[shard.index], r);
         if let Some(on_block) = hooks.on_block {
             on_block(BlockProgress {
                 block: shard.index as u32,
@@ -437,19 +458,7 @@ pub fn search_sharded_with_hooks(
             });
         }
     }
-    let schedule =
-        schedule_work_stealing(&item_costs, &item_shards, &uploads, opts.devices, opts.seed);
-    let single_device_ms =
-        schedule_work_stealing(&item_costs, &item_shards, &uploads, 1, opts.seed).makespan_ms;
-    publish_fleet_metrics(&schedule);
-    let result = merge.finish(searcher.engine.params.max_reported, schedule.makespan_ms);
-    Ok(ShardedResult {
-        result,
-        per_shard_ms,
-        per_shard_hits,
-        schedule,
-        single_device_ms,
-    })
+    Ok(merge)
 }
 
 /// Options for a sharded batch.
@@ -491,11 +500,7 @@ pub struct ShardedBatchOutcome {
 impl ShardedBatchOutcome {
     /// Makespan speedup over the single-device baseline.
     pub fn speedup(&self) -> f64 {
-        if self.schedule.makespan_ms <= 0.0 {
-            1.0
-        } else {
-            self.single_device_ms / self.schedule.makespan_ms
-        }
+        speedup(&self.schedule, self.single_device_ms)
     }
 
     /// Scaling efficiency at the schedule's device count.
@@ -538,74 +543,40 @@ pub fn search_sharded_batch(
     let t0 = Instant::now();
     let workspace = Arc::new(KernelWorkspace::new());
     let uploads = sharded.upload_ms(&device);
-    let mut per_query = Vec::with_capacity(queries.len());
     let mut item_costs = Vec::new();
     let mut item_shards = Vec::new();
+    let mut per_query = Vec::with_capacity(queries.len());
     for (i, q) in queries.iter().enumerate() {
-        let queue_wait_us = t0.elapsed().as_micros() as u64;
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            let _span = obs::span("sharded_query", "batch").with_query(i as u32);
-            let mut searcher = sharded.searcher(q.clone(), params, config, device);
-            searcher.workspace = Arc::clone(&workspace);
-            if let Some(inj) = &opts.injector {
-                searcher.injector = Arc::clone(inj);
-            }
-            searcher.stream_index = i as u32;
-            let mut merge = ShardMerge::new();
-            let mut costs = Vec::new();
-            let mut shards = Vec::new();
-            for shard in sharded.shards() {
-                if shard.is_empty() {
-                    continue;
-                }
-                let r = searcher.search_resident(&shard.db, &shard.dev, false)?;
-                costs.push(r.timing.overlapped_ms);
-                shards.push(shard.index);
-                merge.absorb(shard.start, r);
-            }
-            // The query's own overlapped time is its serial chain; the
-            // fleet-level makespan lives on the batch outcome.
-            let serial: f64 = costs.iter().sum();
-            let result = merge.finish(params.max_reported, serial);
-            Ok((result, costs, shards))
-        }))
-        .unwrap_or_else(|payload| {
-            Err(SearchError::Pipeline(PipelineError::WorkerPanicked {
-                side: "sharded batch query",
-                payload: panic_message(payload.as_ref()),
-            }))
+        let result = setup_stream_query(i, &workspace, opts.injector.as_ref(), || {
+            sharded.searcher(q.clone(), params, config, device)
+        })
+        .and_then(|searcher| {
+            run_stream_query(t0, "sharded_queries_total", || {
+                let _span = obs::span("sharded_query", "batch").with_query(i as u32);
+                let mut merge =
+                    search_shards(&searcher, sharded, &SearchHooks::default(), &uploads)?;
+                // The query's own overlapped time is its serial chain; the
+                // fleet-level makespan lives on the batch outcome.
+                let serial: f64 = merge.item_costs.iter().sum();
+                let result = merge.finish(params.max_reported, serial);
+                item_costs.extend(merge.item_costs);
+                item_shards.extend(merge.item_shards);
+                Ok(result)
+            })
         });
-        match run {
-            Ok((mut result, costs, shards)) => {
-                result.recovery.queue_wait_us = queue_wait_us;
-                item_costs.extend(costs);
-                item_shards.extend(shards);
-                per_query.push(Ok(result));
-            }
-            Err(e) => per_query.push(Err(e)),
-        }
-        let outcome = if per_query.last().is_some_and(|r| r.is_ok()) {
-            "ok"
-        } else {
-            "err"
-        };
-        obs::counter("sharded_queries_total", &[("outcome", outcome)], 1);
+        per_query.push(result);
     }
-    let devices = opts.sharded.devices.max(1);
-    let seed = opts.sharded.seed;
-    let schedule = schedule_work_stealing(&item_costs, &item_shards, &uploads, devices, seed);
-    let single_device_ms =
-        schedule_work_stealing(&item_costs, &item_shards, &uploads, 1, seed).makespan_ms;
-    publish_fleet_metrics(&schedule);
+    let (schedule, single_device_ms) =
+        fleet_schedule(&item_costs, &item_shards, &uploads, &opts.sharded);
     ShardedBatchOutcome {
         per_query,
         schedule,
         single_device_ms,
-        devices,
+        devices: opts.sharded.devices.max(1),
         item_costs,
         item_shards,
         shard_upload_ms: uploads,
-        seed,
+        seed: opts.sharded.seed,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
     }
 }
@@ -697,11 +668,7 @@ pub struct AllVsAllResult {
 impl AllVsAllResult {
     /// Makespan speedup over the single-device baseline.
     pub fn speedup(&self) -> f64 {
-        if self.schedule.makespan_ms <= 0.0 {
-            1.0
-        } else {
-            self.single_device_ms / self.schedule.makespan_ms
-        }
+        speedup(&self.schedule, self.single_device_ms)
     }
 }
 
@@ -747,13 +714,15 @@ pub fn search_all_vs_all(
         tiles += 1;
         let tile_base = tile_idx * tile_rows;
         // Per-tile searchers are built once and reused across shards.
-        let mut searchers = Vec::with_capacity(tile.len());
-        for (j, q) in tile.iter().enumerate() {
-            let mut s = sharded.searcher(q.clone(), params, config, device);
-            s.workspace = Arc::clone(&workspace);
-            s.stream_index = (tile_base + j) as u32;
-            searchers.push(s);
-        }
+        let searchers = tile
+            .iter()
+            .enumerate()
+            .map(|(j, q)| {
+                setup_stream_query(tile_base + j, &workspace, None, || {
+                    sharded.searcher(q.clone(), params, config, device)
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         for shard in sharded.shards() {
             if shard.is_empty() {
                 continue;
@@ -783,12 +752,8 @@ pub fn search_all_vs_all(
         entries.extend(row);
         row_offsets.push(entries.len());
     }
-    let devices = opts.sharded.devices.max(1);
-    let seed = opts.sharded.seed;
-    let schedule = schedule_work_stealing(&item_costs, &item_shards, &uploads, devices, seed);
-    let single_device_ms =
-        schedule_work_stealing(&item_costs, &item_shards, &uploads, 1, seed).makespan_ms;
-    publish_fleet_metrics(&schedule);
+    let (schedule, single_device_ms) =
+        fleet_schedule(&item_costs, &item_shards, &uploads, &opts.sharded);
     Ok(AllVsAllResult {
         matrix: SparseSimMatrix {
             num_queries: queries.len(),

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Forbid unwrap()/expect( in the non-test code of the library crates
-# that sit on the search hot path. Device faults must surface as typed
-# errors (SearchError / DeviceError), not panics; see DESIGN.md §3.3.
+# that sit on the search hot path, and also unreachable!(/panic!( in the
+# search engine itself (crates/cublastp). Device faults must surface as
+# typed errors (SearchError / DeviceError), not panics; see DESIGN.md §3.3.
 # (The obs crate is exempt: obs/json.rs defines a method named `expect`
 # as part of its pull parser, which this textual check cannot tell apart.)
 #
@@ -17,8 +18,12 @@ for file in crates/cublastp/src/*.rs crates/gpu-sim/src/*.rs \
             crates/bio-seq/src/*.rs crates/cublastp-serve/src/*.rs \
             crates/cublastp-db/src/*.rs crates/cublastp-cli/src/*.rs \
             crates/bench/src/runners.rs; do
+    pattern='unwrap()\|expect('
+    case "$file" in
+        crates/cublastp/src/*) pattern="$pattern"'\|unreachable!(\|panic!(' ;;
+    esac
     hits=$(sed '/#\[cfg(test)\]/,$d' "$file" \
-        | grep -n 'unwrap()\|expect(' \
+        | grep -n "$pattern" \
         | grep -vE '^[0-9]+:[[:space:]]*//[/!]' || true)
     if [ -n "$hits" ]; then
         echo "panic-prone call in non-test code of $file:" >&2

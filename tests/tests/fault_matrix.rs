@@ -1,13 +1,17 @@
 //! The fault matrix: every injectable device fault site, on every pipeline
 //! block, in both transient and permanent flavours, against both database
-//! presets — and every cell must recover to the bit-identical fault-free
-//! result. Transient faults recover by retry (no degradation); permanent
-//! faults recover by re-running the poisoned block on the CPU fallback.
+//! presets and both seed modes — and every cell must recover to the
+//! bit-identical fault-free result. Transient faults recover by retry (no
+//! degradation); permanent faults recover by re-running the poisoned block
+//! on the CPU fallback. A grouped batch member follows the same rules as a
+//! standalone search.
 
 use bio_seq::generate::{generate_db, make_query, DbPreset, DbSpec};
 use bio_seq::{Sequence, SequenceDb};
 use blast_core::SearchParams;
-use cublastp::{search_batch_with, BatchOptions, CuBlastp, CuBlastpConfig, CuBlastpResult};
+use cublastp::{
+    search_batch_with, BatchOptions, CuBlastp, CuBlastpConfig, CuBlastpResult, SeedMode,
+};
 use gpu_sim::{DeviceConfig, FaultInjector, FaultPlan, FaultSite, FaultSpec};
 use std::sync::Arc;
 
@@ -52,9 +56,42 @@ fn run_with_plan(
     searcher.search(db)
 }
 
+/// [`run_with_plan`] under `seed_mode`: per-query is the standalone
+/// search; grouped is the query as a member of a grouped seeding batch,
+/// whose first attempt per block consumes the round's prebinned arena.
+fn run_seeded(
+    q: &Sequence,
+    db: &SequenceDb,
+    plan: FaultPlan,
+    seed_mode: SeedMode,
+) -> Result<CuBlastpResult, cublastp::SearchError> {
+    if seed_mode == SeedMode::PerQuery {
+        return run_with_plan(q, db, plan);
+    }
+    let mut out = search_batch_with(
+        std::slice::from_ref(q),
+        SearchParams::default(),
+        matrix_config(),
+        DeviceConfig::k20c(),
+        db,
+        BatchOptions {
+            seed_mode,
+            injector: Some(Arc::new(FaultInjector::new(plan))),
+            ..Default::default()
+        },
+    );
+    assert!(out.grouped.is_some(), "grouped seeding must run");
+    out.per_query.remove(0)
+}
+
 #[test]
 fn every_fault_cell_recovers_bit_identically() {
-    for preset in [DbPreset::SwissprotMini, DbPreset::EnvNrMini] {
+    for (preset, seed_mode) in [
+        (DbPreset::SwissprotMini, SeedMode::PerQuery),
+        (DbPreset::EnvNrMini, SeedMode::PerQuery),
+        (DbPreset::SwissprotMini, SeedMode::Grouped),
+        (DbPreset::EnvNrMini, SeedMode::Grouped),
+    ] {
         let (q, db) = scaled_workload(preset);
         let clean = run_with_plan(&q, &db, FaultPlan::none()).expect("fault-free baseline");
         assert!(clean.recovery.is_clean());
@@ -64,7 +101,7 @@ fn every_fault_cell_recovers_bit_identically() {
             for block in 0..NUM_BLOCKS {
                 for permanent in [false, true] {
                     let label = format!(
-                        "{} / {} on block {block} ({})",
+                        "{} / {seed_mode:?} / {} on block {block} ({})",
                         db.name(),
                         site.name(),
                         if permanent { "permanent" } else { "transient" },
@@ -74,7 +111,8 @@ fn every_fault_cell_recovers_bit_identically() {
                     } else {
                         FaultSpec::once(site)
                     };
-                    let r = run_with_plan(&q, &db, FaultPlan::none().with(spec.on_block(block)))
+                    let plan = FaultPlan::none().with(spec.on_block(block));
+                    let r = run_seeded(&q, &db, plan, seed_mode)
                         .unwrap_or_else(|e| panic!("{label}: not recovered: {e}"));
 
                     assert_eq!(r.report.identity_key(), reference, "{label}");
@@ -118,34 +156,37 @@ fn batch_fault_isolation_across_queries() {
     let injector = Arc::new(FaultInjector::new(
         FaultPlan::none().with(FaultSpec::permanent(FaultSite::HostPanic).on_query(1)),
     ));
-    let out = search_batch_with(
-        &queries,
-        SearchParams::default(),
-        matrix_config(),
-        DeviceConfig::k20c(),
-        &db,
-        BatchOptions {
-            parallel: true,
-            injector: Some(Arc::clone(&injector)),
-            ..Default::default()
-        },
-    );
-    assert_eq!(out.per_query.len(), 3);
-    assert_eq!(out.succeeded(), 2);
-    let failures: Vec<_> = out.failures().collect();
-    assert_eq!(failures.len(), 1);
-    assert_eq!(failures[0].0, 1, "only the poisoned query fails");
-    assert_eq!(failures[0].1.category(), "pipeline");
-
-    // Survivors are bit-identical to their standalone runs.
-    for idx in [0usize, 2] {
-        let solo = run_with_plan(&queries[idx], &db, FaultPlan::none()).expect("fault-free");
-        let batched = out.per_query[idx].as_ref().expect("survivor");
-        assert_eq!(
-            batched.report.identity_key(),
-            solo.report.identity_key(),
-            "query {idx}"
+    for seed_mode in [SeedMode::PerQuery, SeedMode::Grouped] {
+        let out = search_batch_with(
+            &queries,
+            SearchParams::default(),
+            matrix_config(),
+            DeviceConfig::k20c(),
+            &db,
+            BatchOptions {
+                parallel: true,
+                injector: Some(Arc::clone(&injector)),
+                seed_mode,
+                ..Default::default()
+            },
         );
+        assert_eq!(out.per_query.len(), 3, "{seed_mode:?}");
+        assert_eq!(out.succeeded(), 2, "{seed_mode:?}");
+        let failures: Vec<_> = out.failures().collect();
+        assert_eq!(failures.len(), 1, "{seed_mode:?}");
+        assert_eq!(failures[0].0, 1, "only the poisoned query fails");
+        assert_eq!(failures[0].1.category(), "pipeline");
+
+        // Survivors are bit-identical to their standalone runs.
+        for idx in [0usize, 2] {
+            let solo = run_with_plan(&queries[idx], &db, FaultPlan::none()).expect("fault-free");
+            let batched = out.per_query[idx].as_ref().expect("survivor");
+            assert_eq!(
+                batched.report.identity_key(),
+                solo.report.identity_key(),
+                "{seed_mode:?}: query {idx}"
+            );
+        }
     }
 }
 
